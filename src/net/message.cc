@@ -98,10 +98,12 @@ struct MsgPool
             std::free(hdr);
             return;
         }
-        // The free-list node overlays the header; rewritten on reuse.
+        // The free-list node overlays the header (its link lands on the
+        // bucket field), so read the bucket first; rewritten on reuse.
+        const std::size_t bucket = hdr->bucket;
         FreeNode* node = reinterpret_cast<FreeNode*>(hdr);
-        node->next = head[hdr->bucket];
-        head[hdr->bucket] = node;
+        node->next = head[bucket];
+        head[bucket] = node;
     }
 
     /** Owner-side: reclaim foreign-freed blocks (dtor already ran). The

@@ -139,7 +139,7 @@ struct RunResult
     double recoveryLatencyMean = 0;
     /// @}
 
-    /// @name Parallel-kernel timing (bench/parallel_kernel, scaling_study)
+    /// @name Parallel-kernel timing (scaling_study, perfbench)
     /// @{
     /** Wall-clock seconds of System::run() (host time, not simulated). */
     double wallSec = 0;

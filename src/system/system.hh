@@ -85,7 +85,7 @@ struct SystemConfig
      * Use stateless interleaved page homing (page % nodes) instead of
      * first-touch. Forced on when shards > 1 (see FirstTouchMap); opt-in
      * for serial runs that want an apples-to-apples wall-clock baseline
-     * against a sharded run of the same config (bench/parallel_kernel).
+     * against a sharded run of the same config.
      */
     bool interleavedPages = false;
 };

@@ -150,13 +150,20 @@ TEST_P(CacheProperty, SpeculativeLinesSurviveAnyInsertStorm)
     EXPECT_TRUE(cache.probe(pinned)->speculative());
 }
 
+// gtest prints each CacheConfig parameter as its raw bytes, padding
+// included, and that text ends up in the ctest name. A constant of static
+// storage has zero-filled padding, so the names are the same on every run;
+// temporaries would carry whatever the stack held.
+const CacheConfig kGeometries[] = {
+    {4 * 1 * 32, 1, 32, 2, 8},    // direct
+    {8 * 2 * 32, 2, 32, 2, 8},
+    {32 * 1024, 4, 32, 2, 8},     // L1
+    {512 * 1024, 8, 32, 8, 64},   // L2
+    {16 * 16 * 64, 16, 64, 4, 8},
+};
+
 INSTANTIATE_TEST_SUITE_P(
-    Geometries, CacheProperty,
-    ::testing::Values(CacheConfig{4 * 1 * 32, 1, 32, 2, 8},    // direct
-                      CacheConfig{8 * 2 * 32, 2, 32, 2, 8},
-                      CacheConfig{32 * 1024, 4, 32, 2, 8},     // L1
-                      CacheConfig{512 * 1024, 8, 32, 8, 64},   // L2
-                      CacheConfig{16 * 16 * 64, 16, 64, 4, 8}),
+    Geometries, CacheProperty, ::testing::ValuesIn(kGeometries),
     [](const ::testing::TestParamInfo<CacheConfig>& info) {
         return std::to_string(info.param.sizeBytes) + "B" +
                std::to_string(info.param.assoc) + "w" +

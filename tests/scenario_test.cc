@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -18,6 +19,22 @@
 
 namespace sbulk
 {
+
+namespace atrace
+{
+/**
+ * Print a ScenarioSuite parameter as the scenario's name. gtest would print
+ * the pointer, and gtest_discover_tests keeps that in the ctest name, which
+ * ASLR then changes on every build. Declared in sbulk::atrace, beside
+ * ScenarioSpec, so argument-dependent lookup finds it.
+ */
+void
+PrintTo(const ScenarioSpec* spec, std::ostream* os)
+{
+    *os << spec->name;
+}
+} // namespace atrace
+
 namespace
 {
 
@@ -134,6 +151,12 @@ INSTANTIATE_TEST_SUITE_P(
                 c = '_';
         return name;
     });
+
+TEST(Scenarios, ParamPrintsAsNameNotAddress)
+{
+    EXPECT_EQ(::testing::PrintToString(&atrace::allScenarios()[0]),
+              atrace::allScenarios()[0].name);
+}
 
 TEST(Scenarios, RegistryCoversTheThreeServingFamilies)
 {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <set>
 
 #include "workload/apps.hh"
@@ -17,6 +18,19 @@
 
 namespace sbulk
 {
+
+/**
+ * Print an AppFootprint parameter as the app's name. gtest would print the
+ * pointer, and gtest_discover_tests keeps that in the ctest name, which
+ * ASLR then changes on every build. Declared in sbulk, beside AppSpec, so
+ * argument-dependent lookup finds it.
+ */
+void
+PrintTo(const AppSpec* app, std::ostream* os)
+{
+    *os << app->name;
+}
+
 namespace
 {
 
@@ -202,6 +216,11 @@ TEST(Apps, StreamParamsSplitPrivateFootprint)
     EXPECT_EQ(p1.privatePages, app->params.privatePages);
     EXPECT_EQ(p64.privatePages, app->params.privatePages / 64);
     EXPECT_NE(p1.seed, p64.seed);
+}
+
+TEST(Apps, ParamPrintsAsNameNotAddress)
+{
+    EXPECT_EQ(::testing::PrintToString(&allApps()[0]), allApps()[0].name);
 }
 
 class AppFootprint : public ::testing::TestWithParam<const AppSpec*>
