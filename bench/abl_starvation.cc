@@ -52,7 +52,7 @@ main(int argc, char** argv)
         cfg.totalChunks = opt.chunks;
         cfg.proto.leaderRotationInterval = interval;
         const RunResult r = runExperiment(cfg);
-        char label[16];
+        char label[24]; // a 64-bit "%llu" takes up to 20 digits
         if (interval == 0)
             std::snprintf(label, sizeof label, "off");
         else

@@ -59,10 +59,10 @@ panicImpl(const char* file, int line, const std::string& msg)
 }
 
 void
-fatalImpl(const char* file, int line, const std::string& msg)
+fatalImpl(const std::string& msg)
 {
-    std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);
-    std::exit(1);
+    std::fprintf(stderr, "fatal: %s\n", msg.c_str());
+    std::exit(2);
 }
 
 void

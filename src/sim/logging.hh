@@ -25,7 +25,7 @@ void setLogLevel(LogLevel level);
 namespace detail
 {
 [[noreturn]] void panicImpl(const char* file, int line, const std::string& msg);
-[[noreturn]] void fatalImpl(const char* file, int line, const std::string& msg);
+[[noreturn]] void fatalImpl(const std::string& msg);
 void warnImpl(const std::string& msg);
 void informImpl(const std::string& msg);
 std::string formatMsg(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
@@ -38,10 +38,13 @@ std::string formatMsg(const char* fmt, ...) __attribute__((format(printf, 1, 2))
     ::sbulk::detail::panicImpl(__FILE__, __LINE__, \
                                ::sbulk::detail::formatMsg(__VA_ARGS__))
 
-/** The simulation cannot continue due to a user error. Exits. */
+/**
+ * The simulation cannot continue due to a user error (a bad flag, config
+ * or input file). Prints one `fatal:` line, without a source location or
+ * backtrace, and exits with status 2.
+ */
 #define SBULK_FATAL(...) \
-    ::sbulk::detail::fatalImpl(__FILE__, __LINE__, \
-                               ::sbulk::detail::formatMsg(__VA_ARGS__))
+    ::sbulk::detail::fatalImpl(::sbulk::detail::formatMsg(__VA_ARGS__))
 
 /** Something may be modeled imperfectly; execution continues. */
 #define SBULK_WARN(...) \

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "fault/transport.hh"
+#include "trace/io.hh"
 #include "trace/record.hh"
 #include "trace/source.hh"
 #include "workload/synthetic.hh"
@@ -70,38 +71,27 @@ buildStreams(const RunConfig& cfg, SystemConfig& sys_cfg,
         if (from_scenario) {
             const atrace::ScenarioSpec* spec =
                 atrace::findScenario(cfg.scenario);
-            SBULK_ASSERT(spec, "unknown scenario '%s'",
-                         cfg.scenario.c_str());
             atrace::ScenarioParams params = cfg.scenarioParams;
             params.cores = cfg.procs;
             std::string err;
             if (!atrace::generateScenario(*spec, params, p.scenarioBuf,
                                           /*text=*/false, &err))
-                SBULK_PANIC("scenario %s: %s", spec->name, err.c_str());
+                SBULK_FATAL("scenario %s: %s", spec->name, err.c_str());
             in = &p.scenarioBuf;
             r.app = spec->name;
         } else {
             p.traceFile.open(cfg.tracePath, std::ios::binary);
             if (!p.traceFile)
-                SBULK_PANIC("cannot open trace '%s'",
+                SBULK_FATAL("cannot open trace '%s'",
                             cfg.tracePath.c_str());
             in = &p.traceFile;
             r.app = traceRunName(cfg.tracePath);
         }
         std::string err;
         if (!p.replay.open(*in, &err))
-            SBULK_PANIC("trace replay: %s", err.c_str());
+            SBULK_FATAL("trace replay: %s", err.c_str());
+        // RunConfig::validate() matched the core count and geometry.
         const atrace::TraceHeader& hdr = p.replay.header();
-        SBULK_ASSERT(hdr.numCores == cfg.procs,
-                     "trace drives %u cores but the run has %u procs "
-                     "(pass --procs %u)",
-                     hdr.numCores, cfg.procs, hdr.numCores);
-        SBULK_ASSERT(hdr.lineBytes == sys_cfg.mem.l2.lineBytes &&
-                         hdr.pageBytes == sys_cfg.mem.pageBytes,
-                     "trace address geometry (line %u page %u) does not "
-                     "match the machine (line %u page %u)",
-                     hdr.lineBytes, hdr.pageBytes,
-                     sys_cfg.mem.l2.lineBytes, sys_cfg.mem.pageBytes);
         // Replay hints: a recorded/generated trace knows its chunk size
         // and work budget; explicit RunConfig values still win where the
         // caller set them (tools pass totalChunks=0 in trace mode to
@@ -129,7 +119,7 @@ buildStreams(const RunConfig& cfg, SystemConfig& sys_cfg,
     if (enable_record && !cfg.recordPath.empty()) {
         p.recordFile.open(cfg.recordPath, std::ios::binary);
         if (!p.recordFile)
-            SBULK_PANIC("cannot open '%s' for recording",
+            SBULK_FATAL("cannot open '%s' for recording",
                         cfg.recordPath.c_str());
         atrace::TraceHeader hdr;
         hdr.numCores = cfg.procs;
@@ -198,28 +188,100 @@ resolveShardMap(const RunConfig& cfg, SystemConfig& sys_cfg)
         std::string err;
         if (!loadShardMapFile(cfg.shardMap.substr(5), cfg.procs,
                               cfg.shards, sys_cfg.shardMap, &err))
-            SBULK_PANIC("--shard-map: %s", err.c_str());
+            SBULK_FATAL("--shard-map: %s", err.c_str());
         return;
     }
-    SBULK_PANIC("unknown shard map policy '%s' "
+    SBULK_FATAL("unknown shard map policy '%s' "
                 "(want contiguous, balanced, or file:<path>)",
                 cfg.shardMap.c_str());
 }
 
 } // namespace
 
-RunResult
-runExperiment(const RunConfig& cfg)
+std::optional<std::string>
+readTraceHeader(const std::string& path, atrace::TraceHeader& hdr)
 {
-    const bool from_scenario = !cfg.scenario.empty();
-    const bool from_trace = !cfg.tracePath.empty();
-    SBULK_ASSERT(int(cfg.app != nullptr) + int(from_scenario) +
-                         int(from_trace) == 1,
-                 "experiment needs exactly one workload source "
-                 "(app, trace, or scenario)");
-    SBULK_ASSERT(cfg.procs >= 1 && cfg.procs <= 4096);
-    SBULK_ASSERT(cfg.recordPath.empty() || cfg.app,
-                 "recording requires a synthetic app workload");
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        return "cannot open trace '" + path + "'";
+    atrace::TraceReader reader;
+    std::string err;
+    if (!reader.open(in, &err))
+        return path + ": " + err;
+    hdr = reader.header();
+    return std::nullopt;
+}
+
+std::optional<std::string>
+RunConfig::validate() const
+{
+    using detail::formatMsg;
+    if (int(app != nullptr) + int(!scenario.empty()) +
+            int(!tracePath.empty()) != 1)
+        return "a run needs exactly one workload source (app, trace, or "
+               "scenario)";
+    if (procs < 1 || procs > 4096)
+        return formatMsg("procs %u is not in 1..4096", procs);
+    if (shards < 1 || shards > procs)
+        return formatMsg("shards %u is not in 1..procs (%u)", shards, procs);
+    if (chunkInstrs < 1)
+        return "chunk-instrs must be at least 1";
+    if (!sig.valid())
+        return formatMsg("a %u-bit signature does not split into %u banks "
+                         "of at least 2 bits",
+                         sig.totalBits, sig.numBanks);
+    if (!recordPath.empty() && !app)
+        return "recording requires a synthetic app workload";
+
+    const bool file_map = shardMap.rfind("file:", 0) == 0;
+    if (!file_map && !shardMap.empty() && shardMap != "contiguous" &&
+        shardMap != "balanced")
+        return formatMsg("unknown shard map policy '%s' (want contiguous, "
+                         "balanced, or file:<path>)",
+                         shardMap.c_str());
+    if (shards == 1 && !shardMap.empty() && shardMap != "contiguous")
+        return "--shard-map requires --shards >= 2";
+    if (file_map) {
+        std::vector<std::uint32_t> map;
+        std::string err;
+        if (!loadShardMapFile(shardMap.substr(5), procs, shards, map, &err))
+            return "--shard-map: " + err;
+    }
+
+    if (!scenario.empty()) {
+        if (!atrace::findScenario(scenario))
+            return formatMsg("unknown scenario '%s' (see --list-scenarios)",
+                             scenario.c_str());
+        atrace::ScenarioParams params = scenarioParams;
+        params.cores = procs;
+        std::string err;
+        if (!atrace::validateScenarioParams(params, &err))
+            return err;
+    }
+    if (!tracePath.empty()) {
+        atrace::TraceHeader hdr;
+        if (auto err = readTraceHeader(tracePath, hdr))
+            return err;
+        if (hdr.numCores != procs)
+            return formatMsg("trace drives %u cores but the run has %u "
+                             "procs (pass --procs %u)",
+                             hdr.numCores, procs, hdr.numCores);
+        const MemConfig machine;
+        if (hdr.lineBytes != machine.l2.lineBytes ||
+            hdr.pageBytes != machine.pageBytes)
+            return formatMsg("trace address geometry (line %u page %u) "
+                             "does not match the machine (line %u page %u)",
+                             hdr.lineBytes, hdr.pageBytes,
+                             machine.l2.lineBytes, machine.pageBytes);
+    }
+    return std::nullopt;
+}
+
+RunResult
+runExperiment(const RunConfig& cfg, StatSet* stats)
+{
+    if (const auto err = cfg.validate())
+        SBULK_FATAL("%s", err->c_str());
 
     SystemConfig sys_cfg;
     sys_cfg.numProcs = cfg.procs;
@@ -250,9 +312,6 @@ runExperiment(const RunConfig& cfg)
                                 /*enable_record=*/true, r, run_seed);
     if (cfg.shards > 1)
         resolveShardMap(cfg, sys_cfg);
-    else
-        SBULK_ASSERT(cfg.shardMap.empty() || cfg.shardMap == "contiguous",
-                     "--shard-map requires --shards >= 2");
 
     System sys(sys_cfg, std::move(streams));
 
@@ -269,6 +328,8 @@ runExperiment(const RunConfig& cfg)
     r.wallSec = std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - wall0)
                     .count();
+    if (stats)
+        sys.recordStats(*stats);
     r.shardStats = sys.shardStats();
     r.shardWallSec = sys.shardWallSeconds();
     if (cfg.shards > 1) {
@@ -280,7 +341,7 @@ runExperiment(const RunConfig& cfg)
     if (plumbing.recorder) {
         std::string err;
         if (!plumbing.recorder->finalize(&err))
-            SBULK_PANIC("trace record: %s", err.c_str());
+            SBULK_FATAL("trace record: %s", err.c_str());
     }
 
     r.procs = cfg.procs;

@@ -9,6 +9,7 @@
 #ifndef SBULK_SYSTEM_EXPERIMENT_HH
 #define SBULK_SYSTEM_EXPERIMENT_HH
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -57,10 +58,11 @@ struct RunConfig
      *    format (the escape hatch; run reports echo maps in it).
      * Statistics are identical for every map; only wall time moves.
      */
-    std::string shardMap;
+    std::string shardMap{};
     /** Interleaved page homing for serial runs (see SystemConfig; always
-     *  on under shards >= 2). The parallel-kernel bench sets it on its
-     *  serial baseline so both timings simulate the same machine. */
+     *  on under shards >= 2). Always false: no caller sets it, and it stays
+     *  only because perfbench reads it. ROADMAP item 4 (homing follows
+     *  shard count) removes it. */
     bool interleavedPages = false;
     /**
      * Transport fault plan (see ROBUSTNESS.md). When enabled() the run
@@ -77,19 +79,28 @@ struct RunConfig
      * totalChunks / seed hints override the fields above when nonzero
      * (totalChunks additionally falls back to 1280 when both are unset).
      */
-    std::string tracePath;
+    std::string tracePath{};
     /**
      * Generate this serving scenario in memory and replay it (app and
      * tracePath must be unset). scenarioParams.cores is forced to procs.
      */
-    std::string scenario;
+    std::string scenario{};
     atrace::ScenarioParams scenarioParams{};
     /**
      * Tee the run's per-core op streams into this trace file (synthetic
      * apps only); replaying the capture reproduces this run's statistics.
      */
-    std::string recordPath;
+    std::string recordPath{};
     /// @}
+
+    /**
+     * Check every user-settable field before a run starts: one workload
+     * source, procs in 1..4096, shards in 1..procs, chunkInstrs >= 1, a
+     * valid signature geometry, the shard-map policy (a `file:` map is
+     * loaded), the scenario's tenant/request ranges, and a trace's header
+     * against procs. Returns the first problem as a one-line message.
+     */
+    std::optional<std::string> validate() const;
 };
 
 /** Everything the figures read out of one run. */
@@ -172,8 +183,16 @@ struct RunResult
     /// @}
 };
 
-/** Build, run, and harvest one experiment. */
-RunResult runExperiment(const RunConfig& cfg);
+/**
+ * Build, run, and harvest one experiment; with @p stats, also record every
+ * component's statistics into it (`sbulk-sim --stats`). A config
+ * validate() rejects ends the process via SBULK_FATAL.
+ */
+RunResult runExperiment(const RunConfig& cfg, StatSet* stats = nullptr);
+
+/** Read the header of the trace at @p path; the reason on failure. */
+std::optional<std::string> readTraceHeader(const std::string& path,
+                                           atrace::TraceHeader& hdr);
 
 /** Convenience: speedup of @p run against a one-processor reference. */
 inline double

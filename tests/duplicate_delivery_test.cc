@@ -12,10 +12,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <optional>
 #include <string>
 
 #include "check/replay.hh"
+#include "cli.hh"
 #include "fault/fault_plan.hh"
 #include "proto/dispatch.hh"
 
@@ -31,12 +32,10 @@ using fault::FaultRule;
 ProtocolKind
 protocolOf(const char* name)
 {
-    if (!std::strcmp(name, "scalablebulk")) return ProtocolKind::ScalableBulk;
-    if (!std::strcmp(name, "tcc")) return ProtocolKind::TCC;
-    if (!std::strcmp(name, "seq")) return ProtocolKind::SEQ;
-    if (!std::strcmp(name, "bulksc")) return ProtocolKind::BulkSC;
-    ADD_FAILURE() << "unknown protocol '" << name << "'";
-    return ProtocolKind::ScalableBulk;
+    const std::optional<ProtocolKind> kind = cli::parseProtocol(name);
+    if (!kind)
+        ADD_FAILURE() << "unknown protocol '" << name << "'";
+    return kind.value_or(ProtocolKind::ScalableBulk);
 }
 
 TEST(DuplicateDelivery, EveryRealKindOfEveryTableSurvivesDuplication)

@@ -41,6 +41,16 @@ TEST(Experiment, HarvestsConsistentMetrics)
     EXPECT_GT(r.traffic.totalMessages(), 0u);
 }
 
+TEST(Experiment, RecordsComponentStatsOnRequest)
+{
+    StatSet stats;
+    const RunResult r = runExperiment(
+        smallRun("LU", 8, ProtocolKind::ScalableBulk), &stats);
+    ASSERT_TRUE(stats.has("commits"));
+    EXPECT_EQ(stats.get("commits"), double(r.commits));
+    EXPECT_TRUE(stats.has("core7.chunksCommitted"));
+}
+
 TEST(Experiment, WorkIsDividedAcrossCores)
 {
     // 128 chunks over 8 cores = 16 each; over 16 cores = 8 each. Total

@@ -115,9 +115,10 @@ TEST_F(HierarchyEdge, InclusionL2EvictionDropsL1Copy)
     caches[0]->commitSlot(0);
     caches[0]->store(setAddr(0, 3), 0);
     eq.run();
-    if (caches[0]->l2().probe(line0) == nullptr)
+    if (caches[0]->l2().probe(line0) == nullptr) {
         EXPECT_EQ(caches[0]->l1().probe(line0), nullptr)
             << "inclusion violated";
+    }
 }
 
 TEST_F(HierarchyEdge, FwdReadToDowngradedLineStillReplies)

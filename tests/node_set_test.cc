@@ -63,10 +63,12 @@ expectEquivalent(const NodeSet& s, const Oracle& o, std::uint32_t tiles)
     // Iteration must be ascending and complete — the determinism contract
     // every protocol loop relies on.
     ASSERT_EQ(s.toVector(), o.sorted());
-    if (!s.empty())
+    if (!s.empty()) {
         ASSERT_EQ(s.first(), o.sorted().front());
-    if (tiles <= 64)
+    }
+    if (tiles <= 64) {
         ASSERT_EQ(s.toMask64(), o.mask());
+    }
 }
 
 /** Randomized insert/erase/clear sequence at a given tile count. */

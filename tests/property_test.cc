@@ -34,8 +34,9 @@ TEST_P(TorusProperty, HopCountIsAMetric)
         EXPECT_EQ(net.hopCount(a, a), 0u);
         for (NodeId b = 0; b < n; ++b) {
             EXPECT_EQ(net.hopCount(a, b), net.hopCount(b, a));
-            if (a != b)
+            if (a != b) {
                 EXPECT_GE(net.hopCount(a, b), 1u);
+            }
             // Triangle inequality through node 0.
             EXPECT_LE(net.hopCount(a, b),
                       net.hopCount(a, 0) + net.hopCount(0, b));

@@ -1,0 +1,233 @@
+/**
+ * @file
+ * The command-line layer shared by sbulk-sim, sbulk-sweep, sbulk-check and
+ * sbulk-trace.
+ *
+ * Each tool declares its flags once, as a table of Flag entries: a name, a
+ * metavar, a help line and a typed binder that parses the value straight
+ * into an options field. parse() walks argv against the table and returns
+ * the first error instead of exiting, so tests drive it in-process; usage()
+ * renders --help from the same table. Numbers parse strictly (the whole
+ * token, in range), so a typo is an error, never a silent zero.
+ *
+ * The option structs and their tables live here, not in the tools, so the
+ * tests can parse a tool's command line without running the tool. Tools
+ * turn every error into SBULK_FATAL: one `fatal:` line and exit status 2.
+ */
+
+#ifndef SBULK_TOOLS_CLI_HH
+#define SBULK_TOOLS_CLI_HH
+
+#include <cstdint>
+#include <functional>
+#include <limits>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "check/replay.hh"
+#include "system/experiment.hh"
+#include "workload/synthetic.hh"
+
+namespace sbulk::cli
+{
+
+using Error = std::optional<std::string>;
+
+/** Parse a flag's value text into its field; the reason on bad input. */
+using Binder = std::function<Error(const std::string& value)>;
+
+/** One flag. A null metavar marks a switch that takes no value. */
+struct Flag
+{
+    const char* name;
+    const char* metavar;
+    /** Help text; '\n' starts an indented continuation line. */
+    const char* help;
+    Binder bind;
+};
+
+using Table = std::vector<Flag>;
+
+/** The four protocols, in the tools' default order. */
+inline const std::vector<ProtocolKind> kProtocols = {
+    ProtocolKind::ScalableBulk, ProtocolKind::TCC, ProtocolKind::SEQ,
+    ProtocolKind::BulkSC};
+
+/// @name Binders
+/// @{
+/** Switch: sets @p field to @p value. */
+Binder set(bool& field, bool value = true);
+/** The whole of @p v as an unsigned integer in [lo, hi]. */
+Error parseUnsigned(const std::string& v, std::uint64_t lo, std::uint64_t hi,
+                    std::uint64_t& out);
+/** Unsigned integer in [lo, hi]; hi defaults to the field's maximum. */
+template <class T>
+Binder
+number(T& field, std::uint64_t lo,
+       std::uint64_t hi = std::numeric_limits<T>::max())
+{
+    return [&field, lo, hi](const std::string& v) -> Error {
+        std::uint64_t x = 0;
+        if (Error err = parseUnsigned(v, lo, hi, x))
+            return err;
+        field = T(x);
+        return std::nullopt;
+    };
+}
+/** Comma list of unsigned integers, each in [lo, hi]. */
+Binder numbers(std::vector<std::uint32_t>& field, std::uint64_t lo,
+               std::uint64_t hi);
+/** Real number in [lo, hi]. */
+Binder real(double& field, double lo, double hi);
+Binder text(std::string& field);
+/** Comma list of names, appended to @p field. */
+Binder names(std::vector<std::string>& field);
+Binder protocol(ProtocolKind& field);
+/** Comma list of protocols. */
+Binder protocols(std::vector<ProtocolKind>& field);
+/** A FaultPlan in the ROBUSTNESS.md grammar. */
+Binder faultPlan(fault::FaultPlan& field);
+/** Debug-trace categories (sim/trace.hh), enabled as they parse. */
+Binder traceCategories();
+/// @}
+
+/**
+ * Bind argv[first..argc) against @p table. Arguments not starting with '-'
+ * fill @p positionals in order; "-h" means "--help". Returns the first
+ * error (unknown flag, missing value, bad value, wrong positional count)
+ * or nullopt. Never exits.
+ */
+Error parse(const Table& table, int argc, const char* const* argv,
+            int first = 1, const std::vector<std::string*>& positionals = {});
+
+/** The --help text: @p synopsis, then one block per table entry. */
+std::string usage(const char* synopsis, const Table& table,
+                  const char* preamble = "");
+
+/** Exit through SBULK_FATAL (status 2) when @p err holds an error. */
+void require(const Error& err);
+
+/** Protocol names as the flags spell them. */
+std::optional<ProtocolKind> parseProtocol(const std::string& name);
+const char* protocolFlag(ProtocolKind kind);
+
+/** The 18 application models / the serving-scenario library, one a line. */
+void printApps();
+void printScenarios();
+
+/// @name Per-tenant report rows of a traced run: "all", then each tenant
+/// @{
+/** Each row rendered with @p fmt over (tenant, commits, squashes, p50,
+ *  p99, squash rate, commits per Mcycle): %s, 4 x %llu, 2 x %f. */
+std::vector<std::string> tenantRows(const RunResult& r, const char* fmt);
+/** The CSV tail ",tenant,commits,squashes,p50,p99,squashRate,tput". */
+inline constexpr const char* kTenantCsv =
+    ",%s,%llu,%llu,%llu,%llu,%.4f,%.4f";
+/** The sim/trace report table, with or without the "all" row. */
+void printTenantTable(const RunResult& r, bool with_all);
+/// @}
+
+/** Options structs stay where they were built: their tables' binders (and
+ *  SimOptions::run.app) point into them. */
+struct Pinned
+{
+    Pinned() = default;
+    Pinned(const Pinned&) = delete;
+    Pinned& operator=(const Pinned&) = delete;
+};
+
+/** sbulk-sim. `run.procs` and `run.totalChunks` stay 0 until resolve(). */
+struct SimOptions : Pinned
+{
+    bool help = false;
+    bool listApps = false;
+    bool listScenarios = false;
+    std::string app = "Radix";
+    bool custom = false;
+    bool csv = false;
+    bool histogram = false;
+    bool fullStats = false;
+    AppSpec customApp{"custom", "user", SyntheticParams{}};
+    RunConfig run{.procs = 0, .totalChunks = 0};
+
+    /** Apply defaults (from the trace header, if any), look up the app
+     *  and check the run. */
+    Error resolve();
+};
+Table simFlags(SimOptions& o);
+
+/** sbulk-sweep: the cross-product of its lists. */
+struct SweepOptions : Pinned
+{
+    bool help = false;
+    bool listApps = false;
+    bool listScenarios = false;
+    std::vector<std::string> apps;
+    std::vector<std::string> scenarios;
+    std::vector<ProtocolKind> protocols = kProtocols;
+    /** Empty until set: {32, 64}, or the trace's core count. */
+    std::vector<std::uint32_t> procs;
+    unsigned jobs = 1;
+    /** Fields every run shares; totalChunks 0 = unset. */
+    RunConfig base{.totalChunks = 0};
+
+    /** One cell of the matrix, in output order. */
+    struct Run
+    {
+        RunConfig cfg;
+        const char* suite;
+    };
+    /** The matrix, every run checked by RunConfig::validate(). */
+    Error resolve(std::vector<Run>& out) const;
+    bool
+    traced() const
+    {
+        return !scenarios.empty() || !base.tracePath.empty();
+    }
+};
+Table sweepFlags(SweepOptions& o);
+
+/** sbulk-check. */
+struct CheckOptions : Pinned
+{
+    bool help = false;
+    std::vector<ProtocolKind> protocols = kProtocols;
+    std::uint64_t seeds = 500;
+    std::uint64_t seedBase = 1;
+    check::CheckConfig base{};
+    /** Replay one seed instead of sweeping (0 = sweep). */
+    std::uint64_t replaySeed = 0;
+    /** Replay decision-prefix length (SIZE_MAX = the full trace). */
+    std::size_t replayPrefix = std::size_t(-1);
+    bool expectViolations = false;
+    bool keepGoing = false;
+    /** Concurrent schedule explorations (each owns a private System). */
+    unsigned jobs = 1;
+};
+Table checkFlags(CheckOptions& o);
+
+/** sbulk-trace; each subcommand uses the subset it documents. */
+struct TraceOptions : Pinned
+{
+    bool help = false;
+    std::string input;
+    std::string output;
+    std::string app = "Radix";
+    /** 0 = unset (gen: 8, record: 8, replay: the trace's). */
+    std::uint32_t procs = 0;
+    /** 0 = unset (record: 1280, replay: the trace's budget). */
+    std::uint64_t chunks = 0;
+    std::uint64_t seed = 0;
+    atrace::ScenarioParams scen{};
+    ProtocolKind protocol = ProtocolKind::ScalableBulk;
+    bool text = false;
+    bool csv = false;
+    std::uint64_t limit = 0;
+    fault::FaultPlan faults;
+};
+Table traceFlags(TraceOptions& o);
+
+} // namespace sbulk::cli
+
+#endif // SBULK_TOOLS_CLI_HH

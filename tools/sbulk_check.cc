@@ -15,194 +15,22 @@
  *   sbulk-check --break fail-both --expect-violations
  */
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
-#include "check/replay.hh"
-#include "fault/fault_plan.hh"
+#include "cli.hh"
 #include "sim/parallel.hh"
-#include "sim/trace.hh"
 
 namespace
 {
 
 using namespace sbulk;
 using namespace sbulk::check;
-
-struct Options
-{
-    std::vector<ProtocolKind> protocols = {
-        ProtocolKind::ScalableBulk, ProtocolKind::TCC, ProtocolKind::SEQ,
-        ProtocolKind::BulkSC};
-    std::uint64_t seeds = 500;
-    std::uint64_t seedBase = 1;
-    CheckConfig base{};
-    /** Replay one seed instead of sweeping (0 = sweep). */
-    std::uint64_t replaySeed = 0;
-    /** Replay decision-prefix length (SIZE_MAX = the full trace). */
-    std::size_t replayPrefix = std::size_t(-1);
-    bool expectViolations = false;
-    bool keepGoing = false;
-    /** Concurrent schedule explorations (each owns a private System). */
-    unsigned jobs = 1;
-};
-
-[[noreturn]] void
-usage(int code)
-{
-    std::fprintf(
-        stderr,
-        "usage: sbulk-check [options]\n"
-        "  --protocols P,Q        scalablebulk | tcc | seq | bulksc\n"
-        "                         (default: all four)\n"
-        "  --seeds N              seeds to sweep per protocol (default "
-        "500)\n"
-        "  --seed-base N          first seed (default 1)\n"
-        "  --procs N              cores = directories (default 2)\n"
-        "  --jitter N             max per-message delivery jitter "
-        "(default 8)\n"
-        "  --chunks N             chunks per core (default 6)\n"
-        "  --chunk-instrs N       chunk size (default 80)\n"
-        "  --tick-limit N         livelock bound per schedule\n"
-        "  --break MODE           sabotage the protocol to exercise the\n"
-        "                         oracles: admit-conflicting | fail-both\n"
-        "  --faults PLAN          inject transport faults per PLAN (see\n"
-        "                         ROBUSTNESS.md), e.g.\n"
-        "                         \"seed=7, drop=0.01, dup=0.01\"; arms the\n"
-        "                         recovery layer and the liveness oracle\n"
-        "  --expect-violations    exit 0 iff violations WERE found\n"
-        "  --keep-going           don't stop a protocol at its first "
-        "failure\n"
-        "  --jobs N               explore N seeds concurrently (0 = all\n"
-        "                         cores); output is byte-identical to "
-        "--jobs 1\n"
-        "  --trace LIST           enable trace categories "
-        "(commit,group,...)\n"
-        "  --replay-seed N        deterministically re-run one seed\n"
-        "  --replay-prefix N      ... honoring only the first N schedule\n"
-        "                         decisions (default: all)\n");
-    std::exit(code);
-}
-
-ProtocolKind
-parseProtocol(const std::string& name)
-{
-    if (name == "scalablebulk") return ProtocolKind::ScalableBulk;
-    if (name == "tcc") return ProtocolKind::TCC;
-    if (name == "seq") return ProtocolKind::SEQ;
-    if (name == "bulksc") return ProtocolKind::BulkSC;
-    std::fprintf(stderr, "unknown protocol '%s'\n", name.c_str());
-    usage(2);
-}
-
-const char*
-protocolFlag(ProtocolKind kind)
-{
-    switch (kind) {
-      case ProtocolKind::ScalableBulk: return "scalablebulk";
-      case ProtocolKind::TCC: return "tcc";
-      case ProtocolKind::SEQ: return "seq";
-      case ProtocolKind::BulkSC: return "bulksc";
-    }
-    return "?";
-}
-
-std::vector<std::string>
-split(const std::string& list)
-{
-    std::vector<std::string> out;
-    std::size_t pos = 0;
-    while (pos <= list.size()) {
-        const std::size_t comma = list.find(',', pos);
-        const std::string item =
-            list.substr(pos, comma == std::string::npos ? std::string::npos
-                                                        : comma - pos);
-        if (!item.empty())
-            out.push_back(item);
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    return out;
-}
-
-Options
-parseArgs(int argc, char** argv)
-{
-    Options opt;
-    auto need = [&](int& i) -> const char* {
-        if (i + 1 >= argc)
-            usage(2);
-        return argv[++i];
-    };
-    for (int i = 1; i < argc; ++i) {
-        const char* a = argv[i];
-        if (!std::strcmp(a, "--help") || !std::strcmp(a, "-h")) {
-            usage(0);
-        } else if (!std::strcmp(a, "--protocols")) {
-            opt.protocols.clear();
-            for (const std::string& name : split(need(i)))
-                opt.protocols.push_back(parseProtocol(name));
-        } else if (!std::strcmp(a, "--seeds")) {
-            opt.seeds = std::strtoull(need(i), nullptr, 10);
-        } else if (!std::strcmp(a, "--seed-base")) {
-            opt.seedBase = std::strtoull(need(i), nullptr, 10);
-        } else if (!std::strcmp(a, "--procs")) {
-            opt.base.procs = std::uint32_t(std::atoi(need(i)));
-        } else if (!std::strcmp(a, "--jitter")) {
-            opt.base.maxJitter = std::strtoull(need(i), nullptr, 10);
-        } else if (!std::strcmp(a, "--chunks")) {
-            opt.base.chunksPerCore = std::strtoull(need(i), nullptr, 10);
-        } else if (!std::strcmp(a, "--chunk-instrs")) {
-            opt.base.chunkInstrs = std::uint32_t(std::atoi(need(i)));
-        } else if (!std::strcmp(a, "--tick-limit")) {
-            opt.base.tickLimit = std::strtoull(need(i), nullptr, 10);
-        } else if (!std::strcmp(a, "--break")) {
-            const std::string mode = need(i);
-            if (mode == "admit-conflicting")
-                opt.base.sbBreak = SbBreakMode::AdmitConflicting;
-            else if (mode == "fail-both")
-                opt.base.sbBreak = SbBreakMode::FailBothOnCollision;
-            else {
-                std::fprintf(stderr, "unknown break mode '%s'\n",
-                             mode.c_str());
-                usage(2);
-            }
-        } else if (!std::strcmp(a, "--faults")) {
-            std::string err;
-            if (!fault::FaultPlan::parse(need(i), opt.base.faults, &err)) {
-                std::fprintf(stderr, "bad fault plan: %s\n", err.c_str());
-                usage(2);
-            }
-        } else if (!std::strcmp(a, "--jobs")) {
-            opt.jobs = unsigned(std::atoi(need(i)));
-            if (opt.jobs == 0)
-                opt.jobs = defaultJobs();
-        } else if (!std::strcmp(a, "--expect-violations")) {
-            opt.expectViolations = true;
-        } else if (!std::strcmp(a, "--keep-going")) {
-            opt.keepGoing = true;
-        } else if (!std::strcmp(a, "--replay-seed")) {
-            opt.replaySeed = std::strtoull(need(i), nullptr, 10);
-        } else if (!std::strcmp(a, "--trace")) {
-            if (!trace::enableList(need(i))) {
-                std::fprintf(stderr, "unknown trace category\n");
-                usage(2);
-            }
-        } else if (!std::strcmp(a, "--replay-prefix")) {
-            opt.replayPrefix = std::size_t(std::strtoull(need(i), nullptr,
-                                                         10));
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n", a);
-            usage(2);
-        }
-    }
-    return opt;
-}
+using cli::CheckOptions;
+using cli::protocolFlag;
 
 void
 printViolations(const CheckResult& r)
@@ -215,7 +43,7 @@ printViolations(const CheckResult& r)
 
 /** The command line reproducing this failure, for copy-paste. */
 void
-printReplayCommand(const Options& opt, ProtocolKind proto,
+printReplayCommand(const CheckOptions& opt, ProtocolKind proto,
                    std::uint64_t seed, std::size_t prefix)
 {
     std::printf("  replay: sbulk-check --protocols %s --replay-seed %llu "
@@ -254,7 +82,16 @@ printFaultSummary(const CheckResult& r)
 int
 main(int argc, char** argv)
 {
-    const Options opt = parseArgs(argc, argv);
+    CheckOptions opt;
+    const cli::Table flags = cli::checkFlags(opt);
+    cli::require(cli::parse(flags, argc, argv));
+    if (opt.help) {
+        std::fputs(cli::usage("sbulk-check [options]", flags).c_str(),
+                   stdout);
+        return 0;
+    }
+    if (opt.jobs == 0)
+        opt.jobs = defaultJobs();
     std::uint64_t totalViolatingSeeds = 0;
 
     if (opt.replaySeed != 0) {

@@ -16,15 +16,13 @@
  * record -> replay reproduces the run's statistics.
  */
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
+#include <vector>
 
-#include "fault/fault_plan.hh"
-#include "system/experiment.hh"
+#include "cli.hh"
 #include "trace/io.hh"
 #include "trace/scenarios.hh"
 
@@ -32,184 +30,68 @@ namespace
 {
 
 using namespace sbulk;
+using cli::TraceOptions;
 
-[[noreturn]] void
-usage(int code)
+std::ifstream
+openInput(const std::string& path)
 {
-    std::fprintf(
-        stderr,
-        "usage: sbulk-trace COMMAND [options]\n"
-        "  gen SCENARIO -o FILE   generate a serving scenario as a trace\n"
-        "      [--procs N] [--tenants N] [--requests N] [--seed N] "
-        "[--text]\n"
-        "  record -o FILE         capture a synthetic run as a trace\n"
-        "      [--app NAME] [--procs N] [--chunks N] [--seed N] "
-        "[--protocol P]\n"
-        "  replay FILE            run a trace through the simulator\n"
-        "      [--protocol P] [--procs N] [--chunks N] [--csv] "
-        "[--faults PLAN]\n"
-        "  cat FILE [--limit N]   print records as text\n"
-        "  convert FILE -o OUT [--text|--binary]   re-encode a trace\n"
-        "  validate FILE          strict end-to-end scan + summary\n"
-        "  list                   list the scenario library\n");
-    std::exit(code);
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        SBULK_FATAL("cannot open '%s'", path.c_str());
+    return in;
 }
 
-ProtocolKind
-parseProtocol(const char* name)
+std::ofstream
+openOutput(const std::string& path)
 {
-    if (!std::strcmp(name, "scalablebulk")) return ProtocolKind::ScalableBulk;
-    if (!std::strcmp(name, "tcc")) return ProtocolKind::TCC;
-    if (!std::strcmp(name, "seq")) return ProtocolKind::SEQ;
-    if (!std::strcmp(name, "bulksc")) return ProtocolKind::BulkSC;
-    std::fprintf(stderr, "unknown protocol '%s'\n", name);
-    usage(2);
-}
-
-/** Options shared across subcommands; each uses the subset it documents. */
-struct Options
-{
-    std::string input;
-    std::string output;
-    std::string app = "Radix";
-    atrace::ScenarioParams scen{};
-    bool procsSet = false;
-    bool chunksSet = false;
-    std::uint64_t chunks = 1280;
-    std::uint64_t seed = 0;
-    ProtocolKind protocol = ProtocolKind::ScalableBulk;
-    bool text = false;
-    bool csv = false;
-    std::uint64_t limit = 0;
-    fault::FaultPlan faults;
-};
-
-Options
-parseCommon(int argc, char** argv, int first, int positionals)
-{
-    Options opt;
-    int seen = 0;
-    for (int i = first; i < argc; ++i) {
-        const char* a = argv[i];
-        auto need = [&]() -> const char* {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n", a);
-                usage(2);
-            }
-            return argv[++i];
-        };
-        if (a[0] != '-') {
-            if (seen >= positionals) {
-                std::fprintf(stderr, "unexpected argument '%s'\n", a);
-                usage(2);
-            }
-            opt.input = a;
-            ++seen;
-        } else if (!std::strcmp(a, "-o") || !std::strcmp(a, "--output")) {
-            opt.output = need();
-        } else if (!std::strcmp(a, "--app")) {
-            opt.app = need();
-        } else if (!std::strcmp(a, "--procs")) {
-            opt.scen.cores = std::uint32_t(std::atoi(need()));
-            opt.procsSet = true;
-        } else if (!std::strcmp(a, "--tenants")) {
-            opt.scen.tenants = std::uint32_t(std::atoi(need()));
-        } else if (!std::strcmp(a, "--requests")) {
-            opt.scen.requests = std::strtoull(need(), nullptr, 10);
-        } else if (!std::strcmp(a, "--chunks")) {
-            opt.chunks = std::strtoull(need(), nullptr, 10);
-            opt.chunksSet = true;
-        } else if (!std::strcmp(a, "--seed")) {
-            opt.seed = std::strtoull(need(), nullptr, 10);
-        } else if (!std::strcmp(a, "--protocol")) {
-            opt.protocol = parseProtocol(need());
-        } else if (!std::strcmp(a, "--text")) {
-            opt.text = true;
-        } else if (!std::strcmp(a, "--binary")) {
-            opt.text = false;
-        } else if (!std::strcmp(a, "--csv")) {
-            opt.csv = true;
-        } else if (!std::strcmp(a, "--limit")) {
-            opt.limit = std::strtoull(need(), nullptr, 10);
-        } else if (!std::strcmp(a, "--faults")) {
-            std::string err;
-            if (!fault::FaultPlan::parse(need(), opt.faults, &err)) {
-                std::fprintf(stderr, "bad fault plan: %s\n", err.c_str());
-                std::exit(2);
-            }
-        } else if (!std::strcmp(a, "--help") || !std::strcmp(a, "-h")) {
-            usage(0);
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n", a);
-            usage(2);
-        }
-    }
-    if (seen < positionals) {
-        std::fprintf(stderr, "missing argument\n");
-        usage(2);
-    }
-    return opt;
+    if (path.empty())
+        SBULK_FATAL("missing -o FILE (see --help)");
+    std::ofstream out(path, std::ios::binary);
+    if (!out)
+        SBULK_FATAL("cannot open '%s'", path.c_str());
+    return out;
 }
 
 int
-cmdList()
+cmdList(TraceOptions&)
 {
-    for (const atrace::ScenarioSpec& s : atrace::allScenarios())
-        std::printf("%-18s %-9s %s\n", s.name, s.family, s.summary);
+    cli::printScenarios();
     return 0;
 }
 
 int
-cmdGen(int argc, char** argv)
+cmdGen(TraceOptions& opt)
 {
-    if (argc < 3 || argv[2][0] == '-')
-        usage(2);
-    const atrace::ScenarioSpec* spec = atrace::findScenario(argv[2]);
-    if (!spec) {
-        std::fprintf(stderr, "unknown scenario '%s' (sbulk-trace list)\n",
-                     argv[2]);
-        return 1;
-    }
-    Options opt = parseCommon(argc, argv, 3, 0);
-    if (opt.output.empty()) {
-        std::fprintf(stderr, "gen needs -o FILE\n");
-        usage(2);
-    }
+    const atrace::ScenarioSpec* spec = atrace::findScenario(opt.input);
+    if (!spec)
+        SBULK_FATAL("unknown scenario '%s' (sbulk-trace list)",
+                    opt.input.c_str());
+    if (opt.procs != 0)
+        opt.scen.cores = opt.procs;
     if (opt.seed != 0)
         opt.scen.seed = opt.seed;
-    std::ofstream out(opt.output, std::ios::binary);
-    if (!out) {
-        std::fprintf(stderr, "cannot open '%s'\n", opt.output.c_str());
-        return 1;
-    }
+    std::ofstream out = openOutput(opt.output);
     std::string err;
-    if (!atrace::generateScenario(*spec, opt.scen, out, opt.text, &err)) {
-        std::fprintf(stderr, "%s: %s\n", spec->name, err.c_str());
-        return 1;
-    }
+    if (!atrace::generateScenario(*spec, opt.scen, out, opt.text, &err))
+        SBULK_FATAL("%s: %s", spec->name, err.c_str());
     return 0;
 }
 
 int
-cmdRecord(int argc, char** argv)
+cmdRecord(TraceOptions& opt)
 {
-    Options opt = parseCommon(argc, argv, 2, 0);
-    if (opt.output.empty()) {
-        std::fprintf(stderr, "record needs -o FILE\n");
-        usage(2);
-    }
-    const AppSpec* app = findApp(opt.app);
-    if (!app) {
-        std::fprintf(stderr, "unknown app '%s'\n", opt.app.c_str());
-        return 1;
-    }
+    if (opt.output.empty())
+        SBULK_FATAL("missing -o FILE (see --help)");
     RunConfig cfg;
-    cfg.app = app;
-    cfg.procs = opt.procsSet ? opt.scen.cores : 8;
-    cfg.totalChunks = opt.chunks;
+    cfg.app = findApp(opt.app);
+    if (!cfg.app)
+        SBULK_FATAL("unknown app '%s'", opt.app.c_str());
+    cfg.procs = opt.procs != 0 ? opt.procs : 8;
+    cfg.totalChunks = opt.chunks != 0 ? opt.chunks : 1280;
     cfg.protocol = opt.protocol;
     cfg.seedOverride = opt.seed;
     cfg.recordPath = opt.output;
+    cli::require(cfg.validate());
     const RunResult r = runExperiment(cfg);
     std::fprintf(stderr, "recorded %s x %u procs -> %s (%llu commits)\n",
                  r.app.c_str(), r.procs, opt.output.c_str(),
@@ -217,85 +99,36 @@ cmdRecord(int argc, char** argv)
     return 0;
 }
 
-void
-printTenants(const RunResult& r)
-{
-    std::printf("%-8s %10s %9s %8s %8s %8s %10s\n", "tenant", "commits",
-                "squashes", "p50", "p99", "sqRate", "req/Mcyc");
-    const auto row = [&](const char* name, std::uint64_t commits,
-                         std::uint64_t squashes, std::uint64_t p50,
-                         std::uint64_t p99) {
-        const std::uint64_t attempts = commits + squashes;
-        std::printf("%-8s %10llu %9llu %8llu %8llu %8.4f %10.2f\n", name,
-                    (unsigned long long)commits,
-                    (unsigned long long)squashes, (unsigned long long)p50,
-                    (unsigned long long)p99,
-                    attempts ? double(squashes) / double(attempts) : 0.0,
-                    r.makespan ? 1e6 * double(commits) / double(r.makespan)
-                               : 0.0);
-    };
-    row("all", r.commits, r.chunksSquashed,
-        r.commitLatency.percentile(0.50), r.commitLatency.percentile(0.99));
-    for (const RunResult::TenantStats& t : r.tenants)
-        row(std::to_string(t.tenant).c_str(), t.commits, t.squashes,
-            t.commitLatency.percentile(0.50),
-            t.commitLatency.percentile(0.99));
-}
-
 int
-cmdReplay(int argc, char** argv)
+cmdReplay(TraceOptions& opt)
 {
-    Options opt = parseCommon(argc, argv, 2, 1);
-    // The trace dictates the machine size unless --procs was given.
-    std::ifstream probe(opt.input, std::ios::binary);
-    atrace::TraceReader reader;
-    std::string err;
-    if (!probe) {
-        std::fprintf(stderr, "cannot open '%s'\n", opt.input.c_str());
-        return 1;
-    }
-    if (!reader.open(probe, &err)) {
-        std::fprintf(stderr, "%s: %s\n", opt.input.c_str(), err.c_str());
-        return 1;
-    }
-    probe.close();
-
     RunConfig cfg;
     cfg.tracePath = opt.input;
-    cfg.procs = opt.procsSet ? opt.scen.cores : reader.header().numCores;
+    cfg.procs = opt.procs;
+    if (cfg.procs == 0) {
+        // The trace dictates the machine size unless --procs was given.
+        atrace::TraceHeader hdr;
+        cli::require(readTraceHeader(opt.input, hdr));
+        cfg.procs = hdr.numCores;
+    }
     cfg.protocol = opt.protocol;
-    cfg.totalChunks = opt.chunksSet ? opt.chunks : 0;
+    cfg.totalChunks = opt.chunks;
     cfg.faults = opt.faults;
+    cli::require(cfg.validate());
     const RunResult r = runExperiment(cfg);
 
     if (opt.csv) {
         std::printf("app,protocol,procs,seed,makespan,commits,squashes,"
                     "tenant,tenantCommits,tenantSquashes,tenantP50,"
                     "tenantP99,tenantSquashRate,tenantTput\n");
-        const auto row = [&](const char* name, std::uint64_t commits,
-                             std::uint64_t squashes, std::uint64_t p50,
-                             std::uint64_t p99) {
-            const std::uint64_t attempts = commits + squashes;
-            std::printf(
-                "%s,%s,%u,%llu,%llu,%llu,%llu,%s,%llu,%llu,%llu,%llu,"
-                "%.4f,%.4f\n",
-                r.app.c_str(), protocolName(r.protocol), r.procs,
-                (unsigned long long)r.seed, (unsigned long long)r.makespan,
-                (unsigned long long)r.commits,
-                (unsigned long long)r.chunksSquashed, name,
-                (unsigned long long)commits, (unsigned long long)squashes,
-                (unsigned long long)p50, (unsigned long long)p99,
-                attempts ? double(squashes) / double(attempts) : 0.0,
-                r.makespan ? 1e6 * double(commits) / double(r.makespan)
-                           : 0.0);
-        };
-        row("all", r.commits, r.chunksSquashed,
-            r.commitLatency.percentile(0.50),
-            r.commitLatency.percentile(0.99));
-        for (const RunResult::TenantStats& t : r.tenants)
-            row(std::to_string(t.tenant).c_str(), t.commits, t.squashes,
-                t.commitLatency.percentile(0.50),
-                t.commitLatency.percentile(0.99));
+        for (const std::string& tenant : cli::tenantRows(r, cli::kTenantCsv))
+            std::printf("%s,%s,%u,%llu,%llu,%llu,%llu%s\n", r.app.c_str(),
+                        protocolName(r.protocol), r.procs,
+                        (unsigned long long)r.seed,
+                        (unsigned long long)r.makespan,
+                        (unsigned long long)r.commits,
+                        (unsigned long long)r.chunksSquashed,
+                        tenant.c_str());
         return 0;
     }
 
@@ -318,19 +151,14 @@ cmdReplay(int argc, char** argv)
                     (unsigned long long)r.watchdogFires);
     }
     std::printf("\n");
-    printTenants(r);
+    cli::printTenantTable(r, /*with_all=*/true);
     return 0;
 }
 
 int
-cmdCat(int argc, char** argv)
+cmdCat(TraceOptions& opt)
 {
-    Options opt = parseCommon(argc, argv, 2, 1);
-    std::ifstream in(opt.input, std::ios::binary);
-    if (!in) {
-        std::fprintf(stderr, "cannot open '%s'\n", opt.input.c_str());
-        return 1;
-    }
+    std::ifstream in = openInput(opt.input);
     atrace::TraceReader reader;
     std::string err;
     if (!reader.open(in, &err)) {
@@ -353,23 +181,10 @@ cmdCat(int argc, char** argv)
 }
 
 int
-cmdConvert(int argc, char** argv)
+cmdConvert(TraceOptions& opt)
 {
-    Options opt = parseCommon(argc, argv, 2, 1);
-    if (opt.output.empty()) {
-        std::fprintf(stderr, "convert needs -o FILE\n");
-        usage(2);
-    }
-    std::ifstream in(opt.input, std::ios::binary);
-    if (!in) {
-        std::fprintf(stderr, "cannot open '%s'\n", opt.input.c_str());
-        return 1;
-    }
-    std::ofstream out(opt.output, std::ios::binary);
-    if (!out) {
-        std::fprintf(stderr, "cannot open '%s'\n", opt.output.c_str());
-        return 1;
-    }
+    std::ifstream in = openInput(opt.input);
+    std::ofstream out = openOutput(opt.output);
     std::string err;
     if (!atrace::convertTrace(in, out, opt.text, &err)) {
         std::fprintf(stderr, "%s: %s\n", opt.input.c_str(), err.c_str());
@@ -379,14 +194,9 @@ cmdConvert(int argc, char** argv)
 }
 
 int
-cmdValidate(int argc, char** argv)
+cmdValidate(TraceOptions& opt)
 {
-    Options opt = parseCommon(argc, argv, 2, 1);
-    std::ifstream in(opt.input, std::ios::binary);
-    if (!in) {
-        std::fprintf(stderr, "cannot open '%s'\n", opt.input.c_str());
-        return 1;
-    }
+    std::ifstream in = openInput(opt.input);
     atrace::TraceSummary sum;
     std::string err;
     if (!atrace::scanTrace(in, sum, &err)) {
@@ -411,30 +221,76 @@ cmdValidate(int argc, char** argv)
     return 0;
 }
 
+struct Command
+{
+    const char* name;
+    /** Takes one positional argument (a file or scenario name). */
+    bool positional;
+    /** The options it reads, besides --help; any other is an error. */
+    std::vector<std::string> options;
+    int (*run)(TraceOptions&);
+};
+
+const Command kCommands[] = {
+    {"list", false, {}, cmdList},
+    {"gen", true,
+     {"-o", "--output", "--procs", "--tenants", "--requests", "--seed",
+      "--text"},
+     cmdGen},
+    {"record", false,
+     {"-o", "--output", "--app", "--procs", "--chunks", "--seed",
+      "--protocol"},
+     cmdRecord},
+    {"replay", true, {"--protocol", "--procs", "--chunks", "--csv", "--faults"},
+     cmdReplay},
+    {"cat", true, {"--limit"}, cmdCat},
+    {"convert", true, {"-o", "--output", "--text", "--binary"}, cmdConvert},
+    {"validate", true, {}, cmdValidate},
+};
+
+const char* const kCommandHelp =
+    "commands:\n"
+    "  gen SCENARIO -o FILE        generate a serving scenario as a trace\n"
+    "  record -o FILE              capture a synthetic run as a trace\n"
+    "  replay FILE                 run a trace through the simulator\n"
+    "  cat FILE                    print records as text\n"
+    "  convert FILE -o OUT         re-encode a trace (--text | --binary)\n"
+    "  validate FILE               strict end-to-end scan + summary\n"
+    "  list                        list the scenario library\n"
+    "options:\n";
+
 } // namespace
 
 int
 main(int argc, char** argv)
 {
+    TraceOptions opt;
+    const cli::Table flags = cli::traceFlags(opt);
     if (argc < 2)
-        usage(2);
-    const char* cmd = argv[1];
-    if (!std::strcmp(cmd, "list"))
-        return cmdList();
-    if (!std::strcmp(cmd, "gen"))
-        return cmdGen(argc, argv);
-    if (!std::strcmp(cmd, "record"))
-        return cmdRecord(argc, argv);
-    if (!std::strcmp(cmd, "replay"))
-        return cmdReplay(argc, argv);
-    if (!std::strcmp(cmd, "cat"))
-        return cmdCat(argc, argv);
-    if (!std::strcmp(cmd, "convert"))
-        return cmdConvert(argc, argv);
-    if (!std::strcmp(cmd, "validate"))
-        return cmdValidate(argc, argv);
-    if (!std::strcmp(cmd, "--help") || !std::strcmp(cmd, "-h"))
-        usage(0);
-    std::fprintf(stderr, "unknown command '%s'\n", cmd);
-    usage(2);
+        SBULK_FATAL("missing COMMAND (see --help)");
+    const std::string cmd = argv[1];
+    for (const Command& c : kCommands) {
+        if (cmd != c.name)
+            continue;
+        cli::Table own;
+        for (const cli::Flag& f : flags)
+            if (f.name == std::string("--help") ||
+                std::find(c.options.begin(), c.options.end(), f.name) !=
+                    c.options.end())
+                own.push_back(f);
+        std::vector<std::string*> positionals;
+        if (c.positional)
+            positionals.push_back(&opt.input);
+        cli::require(cli::parse(own, argc, argv, 2, positionals));
+        if (!opt.help)
+            return c.run(opt);
+        break;
+    }
+    if (!opt.help && cmd != "--help" && cmd != "-h")
+        SBULK_FATAL("unknown command '%s' (see --help)", cmd.c_str());
+    std::fputs(cli::usage("sbulk-trace COMMAND [options]", flags,
+                          kCommandHelp)
+                   .c_str(),
+               stdout);
+    return 0;
 }
