@@ -4,6 +4,8 @@
 
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
+#include <mutex>
 #include <vector>
 
 namespace sbulk
@@ -61,8 +63,15 @@ panicImpl(const char* file, int line, const std::string& msg)
 void
 fatalImpl(const std::string& msg)
 {
+    // A --jobs worker or shard thread may get here while other threads
+    // still run: the first caller prints the one line, later ones wait for
+    // the exit, and std::_Exit skips the static destructors std::exit
+    // would start under the running threads.
+    static std::mutex first;
+    first.lock();
     std::fprintf(stderr, "fatal: %s\n", msg.c_str());
-    std::exit(2);
+    std::fflush(nullptr);
+    std::_Exit(2);
 }
 
 void

@@ -330,7 +330,7 @@ class ShardChannels
 class ShardEngine
 {
   public:
-    /** Per-shard utilization counters (scaling_study columns). */
+    /** Per-shard utilization counters (perfbench's shard.* metrics). */
     struct ShardStats
     {
         std::uint64_t events = 0;

@@ -150,7 +150,7 @@ struct RunResult
     double recoveryLatencyMean = 0;
     /// @}
 
-    /// @name Parallel-kernel timing (scaling_study, perfbench)
+    /// @name Parallel-kernel timing (perfbench)
     /// @{
     /** Wall-clock seconds of System::run() (host time, not simulated). */
     double wallSec = 0;

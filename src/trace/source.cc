@@ -75,16 +75,16 @@ TraceReplay::fill(std::uint16_t core)
             continue;
         }
         if (!err.empty())
-            SBULK_PANIC("trace replay: %s", err.c_str());
+            SBULK_FATAL("trace replay: %s", err.c_str());
         // Clean end of trace: wrap around so the stream stays endless.
         if (!_coreSeen[core]) {
-            SBULK_PANIC("trace replay: trace has no records for core %u "
+            SBULK_FATAL("trace replay: trace has no records for core %u "
                         "(declared %u cores); regenerate with a matching "
                         "core count",
                         core, _reader.header().numCores);
         }
         if (!_reader.rewind(&err))
-            SBULK_PANIC("trace replay: %s", err.c_str());
+            SBULK_FATAL("trace replay: %s", err.c_str());
         ++_wraps;
     }
 }

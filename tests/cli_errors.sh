@@ -9,7 +9,8 @@ set -uo pipefail
 
 TOOLS=${1:?usage: cli_errors.sh TOOLS_DIR}
 err=$(mktemp)
-trap 'rm -f "$err"' EXIT
+tmp=$(mktemp -d)
+trap 'rm -rf "$err" "$tmp"' EXIT
 failures=0
 
 expect_usage_error() {
@@ -40,6 +41,14 @@ expect_usage_error sbulk-check --chunk-instrs 0
 expect_usage_error sbulk-trace replay
 expect_usage_error sbulk-trace cat missing.sbt --protocol tcc
 expect_usage_error sbulk-trace replay missing.sbt --seed 5
+
+# A trace whose header is fine but whose records stop short fails mid-run,
+# in a --jobs worker for the sweep.
+trace=$(dirname "$0")/../traces/kv-zipf.sbt
+head -c $(($(wc -c <"$trace") - 30)) "$trace" >"$tmp/cut.sbt"
+expect_usage_error sbulk-sim --trace "$tmp/cut.sbt"
+expect_usage_error sbulk-sweep --trace "$tmp/cut.sbt" --jobs 4
+expect_usage_error sbulk-trace replay "$tmp/cut.sbt"
 
 if ! "$TOOLS/sbulk-sim" --debug-trace commit --procs 4 --chunks 16 \
     >/dev/null 2>&1; then

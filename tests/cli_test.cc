@@ -112,6 +112,9 @@ TEST(CliParse, EveryBadSweepLineReturnsAnError)
     EXPECT_TRUE(sweepLine({"--protocols", "tcc,mesi"}));
     EXPECT_TRUE(sweepLine({"--faults", "drop=2"}));
     EXPECT_TRUE(sweepLine({"--apps", "LU", "--scenario", "kv-zipf"}));
+    // Parses (1..65536 bits), then fails the run check in resolve(): three
+    // bits do not split into four banks.
+    EXPECT_TRUE(sweepLine({"--sig-bits", "3"}));
 }
 
 TEST(CliParse, EveryBadCheckLineReturnsAnError)
@@ -179,7 +182,10 @@ TEST(CliParse, GoodSweepLineBuildsTheMatrixInOrder)
     std::vector<SweepOptions::Run> runs;
     ASSERT_EQ(sweepLine({"--apps", "Radix,LU", "--protocols", "tcc,seq",
                          "--procs", "4,8", "--chunks", "64", "--jobs", "2",
-                         "--faults", "seed=3,drop=0.02"},
+                         "--faults", "seed=3,drop=0.02", "--chunk-instrs",
+                         "500", "--sig-bits", "1024", "--no-oci",
+                         "--starvation-max", "8", "--rotation", "2000",
+                         "--figure-data"},
                         &runs),
               std::nullopt);
     ASSERT_EQ(runs.size(), 8u);
@@ -193,6 +199,11 @@ TEST(CliParse, GoodSweepLineBuildsTheMatrixInOrder)
     for (const SweepOptions::Run& run : runs) {
         EXPECT_EQ(run.cfg.totalChunks, 64u);
         EXPECT_TRUE(run.cfg.faults.enabled());
+        EXPECT_EQ(run.cfg.chunkInstrs, 500u);
+        EXPECT_EQ(run.cfg.sig.totalBits, 1024u);
+        EXPECT_FALSE(run.cfg.proto.oci);
+        EXPECT_EQ(run.cfg.proto.starvationMax, 8u);
+        EXPECT_EQ(run.cfg.proto.leaderRotationInterval, 2000u);
     }
 
     ASSERT_EQ(sweepLine({}, &runs), std::nullopt);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
+#include <iterator>
 
 #include "sim/trace.hh"
 #include "trace/scenarios.hh"
@@ -306,6 +307,36 @@ const char* const kJobsHelp =
 const char* const kTraceCategoriesHelp =
     "trace categories to stderr\n(commit,group,inv,squash,read or all)";
 
+namespace
+{
+
+void
+append(Table& table, Table more)
+{
+    table.insert(table.end(), std::make_move_iterator(more.begin()),
+                 std::make_move_iterator(more.end()));
+}
+
+/** The protocol and chunk knobs sbulk-sim and sbulk-sweep share. */
+Table
+knobFlags(RunConfig& r)
+{
+    return {
+        {"--chunk-instrs", "N", "chunk size (default 2000)",
+         number(r.chunkInstrs, 1)},
+        {"--sig-bits", "N", "signature size in bits (default 2048)",
+         number(r.sig.totalBits, 1, 65536)},
+        {"--no-oci", nullptr, "disable optimistic commit initiation",
+         set(r.proto.oci, false)},
+        {"--starvation-max", "N", "reservation threshold (default 24)",
+         number(r.proto.starvationMax, 0)},
+        {"--rotation", "N", "leader-rotation interval, cycles",
+         number(r.proto.leaderRotationInterval, 0)},
+    };
+}
+
+} // namespace
+
 Error
 SimOptions::resolve()
 {
@@ -339,7 +370,7 @@ simFlags(SimOptions& o)
 {
     RunConfig& r = o.run;
     SyntheticParams& c = o.customApp.params;
-    return {
+    Table t = {
         {"--help", nullptr, "print this help (also -h)", set(o.help)},
         {"--list", nullptr, "list the 18 application models",
          set(o.listApps)},
@@ -373,18 +404,11 @@ simFlags(SimOptions& o)
          protocol(r.protocol)},
         {"--chunks", "N", "total chunks of work (default 1280)",
          number(r.totalChunks, 1)},
-        {"--chunk-instrs", "N", "chunk size (default 2000)",
-         number(r.chunkInstrs, 1)},
-        {"--sig-bits", "N", "signature size in bits (default 2048)",
-         number(r.sig.totalBits, 1, 65536)},
         {"--seed", "N", "workload RNG seed override (0 = none)",
          number(r.seedOverride, 0)},
-        {"--no-oci", nullptr, "disable optimistic commit initiation",
-         set(r.proto.oci, false)},
-        {"--starvation-max", "N", "reservation threshold (default 24)",
-         number(r.proto.starvationMax, 0)},
-        {"--rotation", "N", "leader-rotation interval, cycles",
-         number(r.proto.leaderRotationInterval, 0)},
+    };
+    append(t, knobFlags(r));
+    append(t, {
         {"--retry-delay", "N", "commit retry backoff base, cycles",
          number(r.proto.commitRetryDelay, 0)},
         {"--csv", nullptr, "one CSV row instead of the report", set(o.csv)},
@@ -411,7 +435,8 @@ simFlags(SimOptions& o)
          number(c.sharedPages, 1, 1u << 20)},
         {"--temporal-reuse", "F", "custom: revisit probability",
          real(c.temporalReuse, 0, 1)},
-    };
+    });
+    return t;
 }
 
 Error
@@ -483,7 +508,7 @@ Table
 sweepFlags(SweepOptions& o)
 {
     RunConfig& b = o.base;
-    return {
+    Table t = {
         {"--help", nullptr, "print this help (also -h)", set(o.help)},
         {"--apps", "A,B", "application models (default: all 18)",
          names(o.apps)},
@@ -496,6 +521,9 @@ sweepFlags(SweepOptions& o)
          number(b.totalChunks, 1)},
         {"--seed", "N", "workload RNG seed override (0 = none)",
          number(b.seedOverride, 0)},
+    };
+    append(t, knobFlags(b));
+    append(t, {
         {"--jobs", "N", kJobsHelp, number(o.jobs, 0, 4096)},
         {"--shards", "N", "event-kernel shards per run, 1..procs",
          number(b.shards, 1, 4096)},
@@ -516,7 +544,12 @@ sweepFlags(SweepOptions& o)
          set(o.listApps)},
         {"--list-scenarios", nullptr, "list the serving scenarios",
          set(o.listScenarios)},
-    };
+        {"--figure-data", nullptr, "append per-class message counts and the\n"
+                                   "dirs/latency histograms (dirsHist,\n"
+                                   "latHist) to every row",
+         set(o.figureData)},
+    });
+    return t;
 }
 
 Table

@@ -169,6 +169,9 @@ struct SweepOptions : Pinned
     /** Empty until set: {32, 64}, or the trace's core count. */
     std::vector<std::uint32_t> procs;
     unsigned jobs = 1;
+    /** Append the per-class message counts and the dirs/latency
+     *  histograms the figure tables need (scripts/figures.py). */
+    bool figureData = false;
     /** Fields every run shares; totalChunks 0 = unset. */
     RunConfig base{.totalChunks = 0};
 

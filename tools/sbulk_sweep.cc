@@ -15,6 +15,11 @@
  *   sbulk-sweep --scenario kv-zipf,staging-pipeline --procs 8 --tenants 4
  *   sbulk-sweep --trace run.sbt --protocols scalablebulk,tcc
  *
+ * --figure-data appends the columns scripts/figures.py builds the paper's
+ * tables from: six per-class message counts and the directories-per-commit
+ * (width 1) and commit-latency (width 25) histograms, as ';'-joined bucket
+ * counts with trailing zeros trimmed.
+ *
  * --jobs N runs up to N simulations concurrently; each worker owns a
  * private System and EventQueue, and rows are emitted in matrix order, so
  * the output is byte-identical to a serial run.
@@ -26,6 +31,39 @@
 
 #include "cli.hh"
 #include "sim/parallel.hh"
+
+namespace
+{
+
+/** The --figure-data columns: the six message classes, then each
+ *  histogram's bucket counts joined by ';', trailing zero buckets trimmed. */
+std::string
+figureColumns(const sbulk::RunResult& r)
+{
+    using sbulk::MsgClass;
+    std::string out;
+    for (MsgClass c : {MsgClass::MemRd, MsgClass::RemoteShRd,
+                       MsgClass::RemoteDirtyRd, MsgClass::LargeCMessage,
+                       MsgClass::SmallCMessage, MsgClass::Other}) {
+        out += ',';
+        out += std::to_string(r.traffic.messages(c));
+    }
+    for (const sbulk::Distribution* d : {&r.dirsPerCommit, &r.commitLatency}) {
+        const std::vector<std::uint64_t>& b = d->buckets();
+        std::size_t n = b.size();
+        while (n > 0 && b[n - 1] == 0)
+            --n;
+        out += ',';
+        for (std::size_t i = 0; i < n; ++i) {
+            if (i)
+                out += ';';
+            out += std::to_string(b[i]);
+        }
+    }
+    return out;
+}
+
+} // namespace
 
 int
 main(int argc, char** argv)
@@ -61,9 +99,7 @@ main(int argc, char** argv)
         const RunConfig& cfg = matrix[i].cfg;
         const RunResult r = runExperiment(cfg);
         const double total = r.breakdown.total();
-        char buf[640];
-        int len = std::snprintf(
-            buf, sizeof(buf),
+        std::string row = detail::formatMsg(
             "%s,%s,%s,%u,%llu,%llu,%llu,%.4f,%.4f,%.4f,%.4f,%.1f,"
             "%llu,%.2f,%.2f,%.2f,%.2f,%llu,%llu,%llu,%llu,%llu,"
             "%.4f",
@@ -88,8 +124,7 @@ main(int argc, char** argv)
         // Degradation columns exist only under --faults, so the default
         // CSV stays byte-identical to the pre-fault sweep.
         if (faults.enabled()) {
-            len += std::snprintf(
-                buf + len, sizeof(buf) - std::size_t(len),
+            row += detail::formatMsg(
                 ",%llu,%llu,%llu,%llu,%llu,%.1f",
                 (unsigned long long)r.faultsInjected,
                 (unsigned long long)r.retransmissions,
@@ -98,30 +133,33 @@ main(int argc, char** argv)
                 (unsigned long long)r.retryEscalations,
                 r.recoveryLatencyMean);
         }
+        // --figure-data columns come last, after the fault and tenant ones.
+        std::string tail = opt.figureData ? figureColumns(r) : "";
+        tail += '\n';
         if (!traced) {
-            std::snprintf(buf + len, sizeof(buf) - std::size_t(len),
-                          "\n");
-            rows[i] = buf;
+            rows[i] = row + tail;
             return;
         }
         // Per-tenant long format: every tenant (plus an "all" aggregate)
         // repeats the run columns, so each line is self-describing.
-        const std::string base(buf, std::size_t(len));
         for (const std::string& tenant : cli::tenantRows(r, cli::kTenantCsv))
-            rows[i] += base + tenant + "\n";
+            rows[i] += row + tenant + tail;
     });
 
     std::printf("app,suite,protocol,procs,seed,makespan,commits,usefulFrac,"
                 "cacheMissFrac,commitFrac,squashFrac,latMean,latP90,dirs,"
                 "writeDirs,bottleneck,queue,failures,squashTrue,"
-                "squashAlias,recalls,messages,l1HitRate%s%s\n",
+                "squashAlias,recalls,messages,l1HitRate%s%s%s\n",
                 faults.enabled() ? ",faultsInjected,retransmissions,"
                                    "dupsDropped,watchdogFires,"
                                    "retryEscalations,recoveryLatMean"
                                  : "",
                 traced ? ",tenant,tenantCommits,tenantSquashes,tenantP50,"
                          "tenantP99,tenantSquashRate,tenantTput"
-                       : "");
+                       : "",
+                opt.figureData ? ",memRd,remoteShRd,remoteDirtyRd,largeC,"
+                                 "smallC,other,dirsHist,latHist"
+                               : "");
     for (const std::string& row : rows)
         std::fputs(row.c_str(), stdout);
     return 0;
