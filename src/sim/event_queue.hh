@@ -126,23 +126,6 @@ class EventQueue
     bool keyed() const { return _keyed; }
 
     /**
-     * Count dispatched events per execution tile into @p counts (keyed
-     * mode only; null disables). Shard queues may share one vector: each
-     * tile's entry is only ever written by the shard that owns the tile.
-     * The canonical-order contract makes the counts a pure function of
-     * the simulated machine — the same for every shard count and map —
-     * which is what lets a warmup run's counts drive the balanced
-     * partitioner deterministically (see balancedShardMap).
-     */
-    void
-    collectTileCounts(std::vector<std::uint64_t>* counts)
-    {
-        SBULK_ASSERT(!counts || _keyed,
-                     "tile counts require keyed ordering");
-        _tileCounts = counts;
-    }
-
-    /**
      * Tile attribution for events scheduled outside any dispatch (system
      * construction): subsequent schedule() calls originate at @p tile.
      * During dispatch the attribution tracks the running event's tile.
@@ -639,8 +622,6 @@ class EventQueue
             _execTile = _slots[e.slot].execTile;
             _curKey = e.seq;
             _journalSub = 0;
-            if (_tileCounts)
-                ++(*_tileCounts)[_execTile];
         }
         freeSlot(e.slot);
         SBULK_ASSERT(_live > 0, "dispatch accounting underflow");
@@ -682,8 +663,6 @@ class EventQueue
     bool _keyed = false;
     /** Shared per-tile key counters (owner-shard-written). */
     std::vector<std::uint64_t>* _tileSeq = nullptr;
-    /** Per-tile dispatch counters (warmup profiling; usually null). */
-    std::vector<std::uint64_t>* _tileCounts = nullptr;
     /** Tile attribution of the currently-running (or constructing) code. */
     std::uint32_t _execTile = 0;
     /** Canonical key of the dispatching event. */

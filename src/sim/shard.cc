@@ -4,8 +4,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <fstream>
-#include <sstream>
 #include <thread>
 
 namespace sbulk
@@ -136,198 +134,6 @@ ShardPlan::buildTileLists()
     for (std::uint32_t s = 0; s < _shards; ++s)
         SBULK_ASSERT(!_tilesOf[s].empty(),
                      "shard map leaves shard %u with no tiles", s);
-}
-
-// -- Balanced partitioner ------------------------------------------------
-
-std::vector<std::uint32_t>
-balancedShardMap(const std::vector<std::uint64_t>& weights,
-                 std::uint32_t width, std::uint32_t height,
-                 std::uint32_t shards)
-{
-    const std::uint32_t tiles = width * height;
-    SBULK_ASSERT(tiles > 0 && weights.size() == tiles,
-                 "balancedShardMap: %zu weights for a %ux%u grid",
-                 weights.size(), width, height);
-    SBULK_ASSERT(shards >= 1 && shards <= tiles,
-                 "balancedShardMap: %u shards over %u tiles", shards,
-                 tiles);
-
-    // Boustrophedon walk: consecutive tiles in the order are grid
-    // neighbours, so contiguous bins stay spatially compact.
-    std::vector<std::uint32_t> order;
-    order.reserve(tiles);
-    for (std::uint32_t y = 0; y < height; ++y)
-        for (std::uint32_t i = 0; i < width; ++i)
-            order.push_back(y * width +
-                            ((y & 1) ? width - 1 - i : i));
-
-    // Weight+1 so zero-weight tiles still spread across bins instead of
-    // all piling into the last one.
-    std::vector<std::uint64_t> wt(tiles);
-    std::uint64_t total = 0, wmax = 0;
-    for (std::uint32_t k = 0; k < tiles; ++k) {
-        wt[k] = weights[order[k]] + 1;
-        total += wt[k];
-        wmax = std::max(wmax, wt[k]);
-    }
-
-    // Optimal contiguous split of the walk (the painter's-partition
-    // problem): binary-search the smallest max-bin weight for which a
-    // greedy left-to-right fill fits in <= `shards` nonempty bins. The
-    // greedy check is exact for contiguous partitions, so the result is
-    // the true optimum over all snake-order splits — strictly better
-    // than any one-pass adaptive close rule, and equally deterministic.
-    auto fits = [&](std::uint64_t cap) {
-        std::uint32_t bins = 1;
-        std::uint64_t binw = 0;
-        for (std::uint32_t k = 0; k < tiles; ++k) {
-            if (binw + wt[k] > cap) {
-                ++bins;
-                binw = 0;
-            }
-            binw += wt[k];
-        }
-        return bins <= shards;
-    };
-    std::uint64_t lo = std::max<std::uint64_t>(wmax, total / shards);
-    std::uint64_t hi = total;
-    while (lo < hi) {
-        const std::uint64_t mid = lo + (hi - lo) / 2;
-        if (fits(mid))
-            hi = mid;
-        else
-            lo = mid + 1;
-    }
-
-    // Materialize the split at the optimal cap. The cap may need fewer
-    // than `shards` bins; every shard must still own at least one tile,
-    // so force a close whenever the remaining tiles are all spoken for.
-    std::vector<std::uint32_t> map(tiles, 0);
-    std::uint32_t s = 0;
-    std::uint64_t binw = 0;
-    for (std::uint32_t k = 0; k < tiles; ++k) {
-        const std::uint32_t bins_after = shards - s - 1;
-        const bool over = binw > 0 && binw + wt[k] > lo;
-        const bool must_close = tiles - k == bins_after;
-        if (bins_after > 0 && (over || must_close)) {
-            ++s;
-            binw = 0;
-        }
-        map[order[k]] = s;
-        binw += wt[k];
-    }
-    return map;
-}
-
-// -- Shard-map text format -----------------------------------------------
-
-std::string
-formatShardMap(const std::vector<std::uint32_t>& map)
-{
-    std::string out;
-    for (std::size_t i = 0; i < map.size();) {
-        std::size_t j = i + 1;
-        while (j < map.size() && map[j] == map[i])
-            ++j;
-        if (!out.empty())
-            out += ' ';
-        out += std::to_string(map[i]);
-        if (j - i > 1) {
-            out += 'x';
-            out += std::to_string(j - i);
-        }
-        i = j;
-    }
-    return out;
-}
-
-bool
-parseShardMap(std::istream& in, const std::string& name,
-              std::uint32_t tiles, std::uint32_t shards,
-              std::vector<std::uint32_t>& map_out, std::string* err)
-{
-    auto fail = [&](std::size_t line, const std::string& why) {
-        if (err)
-            *err = name + ":" + std::to_string(line) + ": " + why;
-        return false;
-    };
-
-    std::vector<std::uint32_t> map;
-    map.reserve(tiles);
-    std::string text;
-    std::size_t lineno = 0;
-    while (std::getline(in, text)) {
-        ++lineno;
-        const std::size_t hash = text.find('#');
-        if (hash != std::string::npos)
-            text.resize(hash);
-        std::istringstream tokens(text);
-        std::string tok;
-        while (tokens >> tok) {
-            unsigned long shard = 0, count = 1;
-            std::size_t used = 0;
-            try {
-                shard = std::stoul(tok, &used);
-            } catch (...) {
-                return fail(lineno, "bad token '" + tok +
-                                        "' (want <shard> or "
-                                        "<shard>x<count>)");
-            }
-            if (used < tok.size()) {
-                if (tok[used] != 'x')
-                    return fail(lineno, "bad token '" + tok +
-                                            "' (want <shard> or "
-                                            "<shard>x<count>)");
-                const std::string rest = tok.substr(used + 1);
-                std::size_t used2 = 0;
-                try {
-                    count = std::stoul(rest, &used2);
-                } catch (...) {
-                    used2 = 0;
-                }
-                if (used2 == 0 || used2 < rest.size() || count == 0)
-                    return fail(lineno, "bad run length in '" + tok + "'");
-            }
-            if (shard >= shards)
-                return fail(lineno, "shard " + std::to_string(shard) +
-                                        " out of range (" +
-                                        std::to_string(shards) +
-                                        " shards)");
-            if (map.size() + count > tiles)
-                return fail(lineno,
-                            "map assigns more than " +
-                                std::to_string(tiles) + " tiles");
-            map.insert(map.end(), count, std::uint32_t(shard));
-        }
-    }
-    if (map.size() != tiles)
-        return fail(lineno ? lineno : 1,
-                    "map assigns " + std::to_string(map.size()) + " of " +
-                        std::to_string(tiles) + " tiles");
-    std::vector<bool> seen(shards, false);
-    for (std::uint32_t s : map)
-        seen[s] = true;
-    for (std::uint32_t s = 0; s < shards; ++s)
-        if (!seen[s])
-            return fail(lineno ? lineno : 1,
-                        "shard " + std::to_string(s) + " owns no tiles");
-    map_out = std::move(map);
-    return true;
-}
-
-bool
-loadShardMapFile(const std::string& path, std::uint32_t tiles,
-                 std::uint32_t shards,
-                 std::vector<std::uint32_t>& map_out, std::string* err)
-{
-    std::ifstream in(path);
-    if (!in) {
-        if (err)
-            *err = path + ": cannot open";
-        return false;
-    }
-    return parseShardMap(in, path, tiles, shards, map_out, err);
 }
 
 // -- TreeBarrier ---------------------------------------------------------

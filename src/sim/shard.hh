@@ -2,22 +2,20 @@
  * @file
  * Sharded conservative PDES scheduler for parallel-in-run simulation.
  *
- * The torus is partitioned into shard regions — contiguous tile ranges by
- * default, or an arbitrary tile->shard map from the profile-guided
- * balanced partitioner / `--shard-map file:` — and each shard owns one
- * keyed EventQueue and one worker thread. Shards synchronize with
- * conservative lookahead windows, but the bound is *pairwise*: no event a
- * tile of shard A can schedule directly onto a tile of shard B lands
- * sooner than the network's minimum A->B delivery delay (min region hop
- * distance x link latency on the torus; the wire latency on
- * DirectNetwork). The engine closes that raw matrix over forwarding
+ * The torus is partitioned into shard regions — contiguous tile ranges in
+ * a run, or any tile->shard map a test sets in SystemConfig::shardMap —
+ * and each shard owns one keyed EventQueue and one worker thread. Shards
+ * synchronize with conservative lookahead windows, but the bound is
+ * *pairwise*: no event a tile of shard A can schedule directly onto a tile
+ * of shard B lands sooner than the network's minimum A->B delivery delay
+ * (min region hop distance x link latency on the torus; the wire latency
+ * on DirectNetwork). The engine closes that raw matrix over forwarding
  * paths (Floyd-Warshall), with the cheapest feedback cycle through each
- * shard on the diagonal, and each shard runs to its own horizon
- * `min over shards i with pending events of (head[i] + D[i][s])` —
- * including its own self term, which stops a wide window from outrunning
- * replies to its own sends. Far-apart shards therefore synchronize over
- * much wider windows than the old single global `min_head + lookahead()`
- * boundary.
+ * shard on the diagonal, and each shard runs to its own horizon `min over
+ * shards i with pending events of (head[i] + D[i][s])` — including its own
+ * self term, which stops a wide window from outrunning replies to its own
+ * sends. Far-apart shards therefore synchronize over much wider windows
+ * than the old single global `min_head + lookahead()` boundary.
  * Cross-shard events travel through per-(src,dst) SPSC ring channels that
  * the destination drains at the next window boundary.
  *
@@ -35,8 +33,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -56,7 +52,7 @@ std::uint32_t currentShard();
  * Partition of tiles [0, tiles) into `shards` regions. The default
  * constructor builds the contiguous equal-size split; the map constructor
  * accepts any assignment in which every shard owns at least one tile
- * (balanced partitioner, `--shard-map file:`).
+ * (SystemConfig::shardMap, which tests use to check skewed regions).
  */
 class ShardPlan
 {
@@ -79,9 +75,6 @@ class ShardPlan
         return _tilesOf[s];
     }
 
-    /** The full tile->shard map (run-output echo / replayability). */
-    const std::vector<std::uint32_t>& map() const { return _map; }
-
   private:
     void buildTileLists();
 
@@ -89,40 +82,6 @@ class ShardPlan
     std::vector<std::uint32_t> _map;
     std::vector<std::vector<std::uint32_t>> _tilesOf;
 };
-
-/**
- * Profile-guided balanced partition: walk the width x height grid in
- * boustrophedon (snake) order — so every shard region stays spatially
- * compact and pairwise hop distances stay meaningful — and cut the walk
- * into the contiguous split that minimizes the maximum bin weight (the
- * painter's-partition optimum, found by binary search over the cap).
- * Pure function of its inputs, hence deterministic; every shard receives
- * at least one tile. Weights are per-tile event counts from a warmup run
- * (each is used as weight+1 so zero-weight tiles still spread instead of
- * all landing in the last bin).
- */
-std::vector<std::uint32_t> balancedShardMap(
-    const std::vector<std::uint64_t>& weights, std::uint32_t width,
-    std::uint32_t height, std::uint32_t shards);
-
-/**
- * Parse a tile->shard map in the textual format run reports print:
- * whitespace-separated `<shard>` or `<shard>x<count>` run-length tokens
- * assigning tiles in ascending order, `#` to end of line is a comment.
- * On failure returns false and sets *err to "<name>:<line>: <reason>".
- */
-bool parseShardMap(std::istream& in, const std::string& name,
-                   std::uint32_t tiles, std::uint32_t shards,
-                   std::vector<std::uint32_t>& map_out, std::string* err);
-
-/** parseShardMap over a file path (the `--shard-map file:` escape hatch). */
-bool loadShardMapFile(const std::string& path, std::uint32_t tiles,
-                      std::uint32_t shards,
-                      std::vector<std::uint32_t>& map_out,
-                      std::string* err);
-
-/** Render @p map as the run-length text parseShardMap accepts. */
-std::string formatShardMap(const std::vector<std::uint32_t>& map);
 
 /**
  * Per-shard clock publication slot, cache-line isolated: the owning shard
@@ -346,7 +305,7 @@ class ShardEngine
          *  dedicated-core critical-path speedup the perf harness gates. */
         double busySec = 0;
         /** Wall seconds blocked in barrier arrivals (the synchronization
-         *  tax the pairwise lookahead and balanced maps shrink). */
+         *  tax the pairwise lookahead shrinks). */
         double stallSec = 0;
     };
 

@@ -54,14 +54,11 @@ struct StreamPlumbing
 
 /**
  * Build the run's per-core streams from whichever workload source cfg
- * names, applying trace-header hints to @p sys_cfg. Callable more than
- * once per experiment (each call gets fresh plumbing): the balanced
- * shard-map warmup replays the same workload prefix the main run sees.
+ * names, applying trace-header hints to @p sys_cfg.
  */
 std::vector<std::unique_ptr<ThreadStream>>
 buildStreams(const RunConfig& cfg, SystemConfig& sys_cfg,
-             StreamPlumbing& p, bool enable_record, RunResult& r,
-             std::uint64_t& run_seed)
+             StreamPlumbing& p, RunResult& r, std::uint64_t& run_seed)
 {
     const bool from_scenario = !cfg.scenario.empty();
     const bool from_trace = !cfg.tracePath.empty();
@@ -116,7 +113,7 @@ buildStreams(const RunConfig& cfg, SystemConfig& sys_cfg,
         params.seed = cfg.seedOverride;
     run_seed = params.seed;
     r.app = cfg.app->name;
-    if (enable_record && !cfg.recordPath.empty()) {
+    if (!cfg.recordPath.empty()) {
         p.recordFile.open(cfg.recordPath, std::ios::binary);
         if (!p.recordFile)
             SBULK_FATAL("cannot open '%s' for recording",
@@ -147,53 +144,6 @@ buildStreams(const RunConfig& cfg, SystemConfig& sys_cfg,
         }
     }
     return streams;
-}
-
-/**
- * Resolve cfg.shardMap into an explicit tile->shard assignment in
- * sys_cfg.shardMap (left empty for the contiguous default).
- *
- * "balanced" runs a seeded warmup — same workload, contiguous map, the
- * full chunk budget — collecting per-tile dispatch counts. Those counts
- * are shard-count- and map-invariant (the canonical event order is a
- * pure function of the machine), so the warmup profiles exactly the
- * load the real run will carry and the resulting map is replayable.
- * Profiling the full budget rather than a prefix matters: per-tile load
- * drifts over a run, and a prefix-derived map mispredicts the tail.
- */
-void
-resolveShardMap(const RunConfig& cfg, SystemConfig& sys_cfg)
-{
-    if (cfg.shardMap.empty() || cfg.shardMap == "contiguous")
-        return;
-    if (cfg.shardMap == "balanced") {
-        SystemConfig warm_cfg = sys_cfg;
-        warm_cfg.collectTileWeights = true;
-        StreamPlumbing warm_p;
-        RunResult warm_r;
-        std::uint64_t warm_seed = 0;
-        auto warm_streams = buildStreams(cfg, warm_cfg, warm_p,
-                                         /*enable_record=*/false, warm_r,
-                                         warm_seed);
-        System warm(warm_cfg, std::move(warm_streams));
-        warm.run(cfg.tickLimit);
-        const TorusNetwork* torus = warm.torus();
-        const std::uint32_t w = torus ? torus->width() : cfg.procs;
-        const std::uint32_t h = torus ? torus->height() : 1;
-        sys_cfg.shardMap =
-            balancedShardMap(warm.tileEventCounts(), w, h, cfg.shards);
-        return;
-    }
-    if (cfg.shardMap.rfind("file:", 0) == 0) {
-        std::string err;
-        if (!loadShardMapFile(cfg.shardMap.substr(5), cfg.procs,
-                              cfg.shards, sys_cfg.shardMap, &err))
-            SBULK_FATAL("--shard-map: %s", err.c_str());
-        return;
-    }
-    SBULK_FATAL("unknown shard map policy '%s' "
-                "(want contiguous, balanced, or file:<path>)",
-                cfg.shardMap.c_str());
 }
 
 } // namespace
@@ -233,20 +183,9 @@ RunConfig::validate() const
     if (!recordPath.empty() && !app)
         return "recording requires a synthetic app workload";
 
-    const bool file_map = shardMap.rfind("file:", 0) == 0;
-    if (!file_map && !shardMap.empty() && shardMap != "contiguous" &&
-        shardMap != "balanced")
-        return formatMsg("unknown shard map policy '%s' (want contiguous, "
-                         "balanced, or file:<path>)",
+    if (!shardMap.empty() && shardMap != "contiguous")
+        return formatMsg("unknown shard map policy '%s' (want contiguous)",
                          shardMap.c_str());
-    if (shards == 1 && !shardMap.empty() && shardMap != "contiguous")
-        return "--shard-map requires --shards >= 2";
-    if (file_map) {
-        std::vector<std::uint32_t> map;
-        std::string err;
-        if (!loadShardMapFile(shardMap.substr(5), procs, shards, map, &err))
-            return "--shard-map: " + err;
-    }
 
     if (!scenario.empty()) {
         if (!atrace::findScenario(scenario))
@@ -308,10 +247,7 @@ runExperiment(const RunConfig& cfg, StatSet* stats)
     std::uint64_t run_seed = 0;
 
     StreamPlumbing plumbing;
-    auto streams = buildStreams(cfg, sys_cfg, plumbing,
-                                /*enable_record=*/true, r, run_seed);
-    if (cfg.shards > 1)
-        resolveShardMap(cfg, sys_cfg);
+    auto streams = buildStreams(cfg, sys_cfg, plumbing, r, run_seed);
 
     System sys(sys_cfg, std::move(streams));
 
@@ -332,11 +268,6 @@ runExperiment(const RunConfig& cfg, StatSet* stats)
         sys.recordStats(*stats);
     r.shardStats = sys.shardStats();
     r.shardWallSec = sys.shardWallSeconds();
-    if (cfg.shards > 1) {
-        r.shardMapMode =
-            cfg.shardMap.empty() ? "contiguous" : cfg.shardMap;
-        r.shardMap = sys.shardMap();
-    }
 
     if (plumbing.recorder) {
         std::string err;

@@ -46,18 +46,9 @@ struct RunConfig
      * sharded PDES engine (identical statistics for any shard count).
      */
     std::uint32_t shards = 1;
-    /**
-     * Tile->shard assignment policy under shards >= 2 (`--shard-map`):
-     *  - "" or "contiguous": equal-size contiguous ranges (default);
-     *  - "balanced": run a seeded warmup over the full chunk budget
-     *    collecting per-tile event counts, then split tiles in snake
-     *    order at the painter's-partition optimum (balancedShardMap).
-     *    Deterministic: the warmup's canonical event order — hence the
-     *    map — is a pure function of the workload seed;
-     *  - "file:<path>": load an explicit map in the formatShardMap text
-     *    format (the escape hatch; run reports echo maps in it).
-     * Statistics are identical for every map; only wall time moves.
-     */
+    /** Tile->shard policy: "" or "contiguous" (equal-size contiguous
+     *  ranges, the only policy; validate() rejects anything else). It
+     *  stays only because perfbench sets it. */
     std::string shardMap{};
     /** Interleaved page homing for serial runs (see SystemConfig; always
      *  on under shards >= 2). Always false: no caller sets it, and it stays
@@ -96,9 +87,9 @@ struct RunConfig
     /**
      * Check every user-settable field before a run starts: one workload
      * source, procs in 1..4096, shards in 1..procs, chunkInstrs >= 1, a
-     * valid signature geometry, the shard-map policy (a `file:` map is
-     * loaded), the scenario's tenant/request ranges, and a trace's header
-     * against procs. Returns the first problem as a one-line message.
+     * valid signature geometry, the shard-map policy, the scenario's
+     * tenant/request ranges, and a trace's header against procs. Returns
+     * the first problem as a one-line message.
      */
     std::optional<std::string> validate() const;
 };
@@ -158,12 +149,6 @@ struct RunResult
     std::vector<ShardEngine::ShardStats> shardStats;
     /** Wall-clock seconds inside the sharded window loop. */
     double shardWallSec = 0;
-    /** Shard-map policy the run resolved ("" under shards = 1). */
-    std::string shardMapMode;
-    /** The tile->shard map in effect (empty under shards = 1). Reports
-     *  echo it via formatShardMap, whose output `--shard-map file:`
-     *  accepts back — every sharded run is replayable by map. */
-    std::vector<std::uint32_t> shardMap;
     /// @}
 
     /// @name Per-tenant serving metrics (trace/scenario runs)

@@ -48,14 +48,10 @@ System::System(SystemConfig cfg,
                                                 _cfg.shards);
         }
         _tileSeq.assign(_cfg.numProcs, 0);
-        if (_cfg.collectTileWeights)
-            _tileWeights.assign(_cfg.numProcs, 0);
         _shardChan = std::make_unique<ShardChannels>(_cfg.shards);
         for (std::uint32_t s = 0; s < _cfg.shards; ++s) {
             auto q = std::make_unique<EventQueue>();
             q->enableKeyedOrder(&_tileSeq);
-            if (_cfg.collectTileWeights)
-                q->collectTileCounts(&_tileWeights);
             _shardQs.push_back(std::move(q));
             auto m = std::make_unique<CommitMetrics>();
             m->journalTo(_shardQs.back().get());

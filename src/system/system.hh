@@ -68,19 +68,13 @@ struct SystemConfig
     std::uint32_t shards = 1;
     /**
      * Explicit tile->shard map (size numProcs, every shard owning >= 1
-     * tile). Empty — the default — selects the contiguous equal-size
-     * split. Filled by the profile-guided balanced partitioner or a
-     * `--shard-map file:` load (see balancedShardMap / parseShardMap).
-     * End-of-run statistics are identical for every valid map: the
-     * canonical event order is map-independent.
+     * tile). Empty — the default, and what every run uses — selects the
+     * contiguous equal-size split. Tests fill it to check the lookahead
+     * closure over skewed and striped regions: end-of-run statistics are
+     * identical for every valid map, since the canonical event order is
+     * map-independent.
      */
     std::vector<std::uint32_t> shardMap;
-    /**
-     * Collect per-tile dispatched-event counts during a sharded run
-     * (EventQueue::collectTileCounts); read back via tileEventCounts().
-     * The balanced partitioner's warmup runs set this.
-     */
-    bool collectTileWeights = false;
     /**
      * Use stateless interleaved page homing (page % nodes) instead of
      * first-touch. Forced on when shards > 1 (see FirstTouchMap); opt-in
@@ -150,18 +144,6 @@ class System
     }
     /** Wall-clock seconds of the last sharded run()'s window loop. */
     double shardWallSeconds() const { return _engineWallSec; }
-    /** The tile->shard map in effect (empty under --shards 1). */
-    std::vector<std::uint32_t>
-    shardMap() const
-    {
-        return _plan ? _plan->map() : std::vector<std::uint32_t>{};
-    }
-    /** Per-tile dispatched-event counts (cfg.collectTileWeights). */
-    const std::vector<std::uint64_t>&
-    tileEventCounts() const
-    {
-        return _tileWeights;
-    }
     /// @}
 
     /** Aggregate execution-time breakdown over all cores (Figures 7/8). */
@@ -214,8 +196,6 @@ class System
     std::unique_ptr<ShardPlan> _plan;
     /** Per-tile canonical-key counters, shared by every shard queue. */
     std::vector<std::uint64_t> _tileSeq;
-    /** Per-tile dispatch counts (cfg.collectTileWeights; else empty). */
-    std::vector<std::uint64_t> _tileWeights;
     std::vector<std::unique_ptr<EventQueue>> _shardQs;
     std::unique_ptr<ShardChannels> _shardChan;
     /** Per-shard journaling metrics, folded into _metrics post-run. */

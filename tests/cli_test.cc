@@ -137,8 +137,8 @@ TEST(CliParse, GoodSimLineFillsTheRun)
     ASSERT_EQ(simLine(o, {"--app", "FFT", "--procs", "16", "--protocol",
                           "tcc", "--chunks", "320", "--chunk-instrs",
                           "1000", "--sig-bits", "1024", "--seed", "7",
-                          "--no-oci", "--shards", "2", "--shard-map",
-                          "balanced", "--retry-delay", "20", "--csv"}),
+                          "--no-oci", "--shards", "2", "--retry-delay",
+                          "20", "--csv"}),
               std::nullopt);
     EXPECT_EQ(o.run.app, findApp("FFT"));
     EXPECT_EQ(o.run.procs, 16u);
@@ -149,7 +149,6 @@ TEST(CliParse, GoodSimLineFillsTheRun)
     EXPECT_EQ(o.run.seedOverride, 7u);
     EXPECT_FALSE(o.run.proto.oci);
     EXPECT_EQ(o.run.shards, 2u);
-    EXPECT_EQ(o.run.shardMap, "balanced");
     EXPECT_EQ(o.run.proto.commitRetryDelay, 20u);
     EXPECT_TRUE(o.csv);
 }
@@ -265,6 +264,13 @@ TEST(CliParse, ProtocolSpellingsRoundTrip)
 TEST(CliValidate, AcceptsTheDefaults)
 {
     EXPECT_EQ(appRun().validate(), std::nullopt);
+
+    // perfbench's radix-256-sharded runs name the contiguous map.
+    RunConfig sharded = appRun();
+    sharded.procs = 256;
+    sharded.shards = 2;
+    sharded.shardMap = "contiguous";
+    EXPECT_EQ(sharded.validate(), std::nullopt);
 }
 
 TEST(CliValidate, RejectsEachBadField)
@@ -275,8 +281,8 @@ TEST(CliValidate, RejectsEachBadField)
     bad[2].shards = 17;
     bad[3].chunkInstrs = 0;
     bad[4].sig.totalBits = 3;
-    bad[5].shardMap = "striped";
-    bad[6].shardMap = "balanced"; // needs shards >= 2
+    bad[5].shardMap = "striped"; // contiguous is the only policy
+    bad[6].shardMap = "balanced";
     bad[7].shards = 2;
     bad[7].shardMap = "file:/nonexistent";
     bad[8].app = nullptr; // no workload source

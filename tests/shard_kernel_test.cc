@@ -108,9 +108,8 @@ TEST(ShardKernel, StatsIdenticalAcrossShardCounts)
 TEST(ShardKernel, StatsIdenticalForNonDividingShardCounts)
 {
     // Nothing in the contract requires shards to divide the tile count:
-    // odd counts leave some shards one tile wider (contiguous) or get
-    // arbitrary region shapes (balanced), which is exactly where a
-    // lookahead matrix over tile *sets* is stressed. 16 tiles across
+    // odd counts leave some shards one tile wider, which is exactly where
+    // a lookahead matrix over tile *sets* is stressed. 16 tiles across
     // 3/5/7 shards must still match the power-of-two snapshots.
     const SyntheticParams p = conflictParams();
     const auto two =
@@ -125,9 +124,10 @@ TEST(ShardKernel, StatsIdenticalForNonDividingShardCounts)
 
 TEST(ShardKernel, StatsIdenticalAcrossShardMaps)
 {
-    // The tile->shard map is a performance knob only: the balanced
-    // (profile-guided) partition must produce the same statistics as the
-    // default contiguous split at the same and at different shard counts.
+    // The tile->shard map is a performance knob only: explicit maps set
+    // through SystemConfig::shardMap, whose regions the lookahead closure
+    // must handle, produce the same statistics as the default contiguous
+    // split at the same and at different shard counts.
     const SyntheticParams p = conflictParams();
     SystemConfig contiguous = shardedConfig(16, 4, ProtocolKind::ScalableBulk);
     const auto base = runAndSnapshot(contiguous, p);

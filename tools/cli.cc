@@ -396,10 +396,6 @@ simFlags(SimOptions& o)
         {"--shards", "N", "event-kernel shards, 1..procs (default 1 =\n"
                           "serial; stats identical for any count >= 2)",
          number(r.shards, 1, 4096)},
-        {"--shard-map", "M", "contiguous | balanced | file:<path>, under\n"
-                             "--shards >= 2 (the report echoes the map\n"
-                             "in file: format)",
-         text(r.shardMap)},
         {"--protocol", "P", "scalablebulk | tcc | seq | bulksc",
          protocol(r.protocol)},
         {"--chunks", "N", "total chunks of work (default 1280)",
@@ -527,8 +523,6 @@ sweepFlags(SweepOptions& o)
         {"--jobs", "N", kJobsHelp, number(o.jobs, 0, 4096)},
         {"--shards", "N", "event-kernel shards per run, 1..procs",
          number(b.shards, 1, 4096)},
-        {"--shard-map", "M", "contiguous | balanced | file:<path>",
-         text(b.shardMap)},
         {"--faults", "PLAN", "inject transport faults (ROBUSTNESS.md)",
          faultPlan(b.faults)},
         {"--scenario", "S,T", "serving scenarios instead of apps",

@@ -94,10 +94,6 @@ printReport(const cli::SimOptions& opt, const RunResult& r)
                             ? 100.0 * st.stallSec / r.shardWallSec
                             : 0.0);
         }
-        // The echoed map is `--shard-map file:` input: paste it into a
-        // file to replay this exact partition.
-        std::printf("map (%s): %s\n", r.shardMapMode.c_str(),
-                    formatShardMap(r.shardMap).c_str());
     }
 
     if (r.traced && !r.tenants.empty()) {
