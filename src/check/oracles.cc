@@ -15,17 +15,16 @@ namespace
 {
 
 std::string
-idStr(const CommitId& id)
+tagStr(const ChunkTag& tag)
 {
-    return "(" + std::to_string(id.tag.proc) + "," +
-           std::to_string(id.tag.seq) + ")#" + std::to_string(id.attempt);
+    return detail::formatMsg("(%u,%llu)", unsigned(tag.proc),
+                             (unsigned long long)tag.seq);
 }
 
 std::string
-tagStr(const ChunkTag& tag)
+idStr(const CommitId& id)
 {
-    return "(" + std::to_string(tag.proc) + "," + std::to_string(tag.seq) +
-           ")";
+    return tagStr(id.tag) + "#" + std::to_string(id.attempt);
 }
 
 } // namespace

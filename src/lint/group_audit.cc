@@ -233,14 +233,17 @@ renderConfig(const Config& cfg)
     std::string out = std::to_string(cfg.numModules) + " modules, groups";
     for (std::size_t g = 0; g < cfg.footprints.size(); ++g) {
         out += g == 0 ? " " : ", ";
-        out += "g" + std::to_string(g) + "={";
+        out += 'g';
+        out += std::to_string(g);
+        out += "={";
         bool first = true;
         for (int m = 0; m < cfg.numModules; ++m) {
             if (!((cfg.footprints[g] >> m) & 1u))
                 continue;
             if (!first)
                 out += ",";
-            out += "m" + std::to_string(m);
+            out += 'm';
+            out += std::to_string(m);
             first = false;
         }
         out += "}";

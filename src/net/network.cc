@@ -81,25 +81,16 @@ Network::lookaheadMatrix(const ShardPlan& plan) const
 void
 DirectNetwork::transmit(MessagePtr msg)
 {
-    if (sharded()) {
-        EventQueue& q = curQueue();
-        msg->sentAt = q.now();
-        curTraffic().record(msg->cls, msg->bytes,
-                            msg->src == msg->dst ? 0 : 1);
-        const Tick latency = msg->src == msg->dst ? 1 : _latency;
-        Message* raw = msg.release();
-        scheduleTileEvent(raw->dst, raw->src, latency,
-                          [this, raw] { deliver(MessagePtr(raw)); });
-        return;
-    }
-    msg->sentAt = _eq.now();
-    _traffic.record(msg->cls, msg->bytes, msg->src == msg->dst ? 0 : 1);
-    Tick latency = msg->src == msg->dst ? 1 : _latency;
-    latency += jitterFor(*msg);
+    const Tick now = curQueue().now();
+    msg->sentAt = now;
+    curTraffic().record(msg->cls, msg->bytes, msg->src == msg->dst ? 0 : 1);
+    const Tick latency = (msg->src == msg->dst ? 1 : _latency) +
+                         jitterFor(*msg);
     if (_jitter)
-        assertChannelFifo(*msg, _eq.now() + latency);
+        assertChannelFifo(*msg, now + latency);
     Message* raw = msg.release();
-    _eq.scheduleIn(latency, [this, raw] { deliver(MessagePtr(raw)); });
+    scheduleTileEvent(raw->dst, raw->src, latency,
+                      [this, raw] { deliver(MessagePtr(raw)); });
 }
 
 namespace
@@ -176,41 +167,27 @@ TorusNetwork::nextHop(NodeId cur, NodeId dst, Dir& dir_out) const
 void
 TorusNetwork::transmit(MessagePtr msg)
 {
-    if (sharded()) {
-        // Jitter hooks are asserted off in sharded mode (System enforces
-        // it); timing comes from the queue owning the sending tile.
-        EventQueue& q = curQueue();
-        msg->sentAt = q.now();
-        curTraffic().record(msg->cls, msg->bytes,
-                            hopCount(msg->src, msg->dst));
-        if (msg->src == msg->dst) {
-            Message* raw = msg.release();
-            scheduleTileEvent(raw->dst, raw->src, 1,
-                              [this, raw] { deliver(MessagePtr(raw)); });
-            return;
-        }
-        msg->netHop = msg->src;
-        route(msg.release());
-        return;
-    }
-    msg->sentAt = _eq.now();
-    _traffic.record(msg->cls, msg->bytes, hopCount(msg->src, msg->dst));
+    msg->sentAt = curQueue().now();
+    curTraffic().record(msg->cls, msg->bytes, hopCount(msg->src, msg->dst));
+    // Jitter hooks are serial-only (setDeliveryJitter and configureShards
+    // assert it), so sharded runs always see jitter == 0 here.
     const Tick jitter = jitterFor(*msg);
-    if (msg->src == msg->dst) {
+    Message* raw = msg.release();
+    if (raw->src == raw->dst) {
         // Same-tile communication bypasses the router fabric.
-        Message* raw = msg.release();
-        _eq.scheduleIn(1 + jitter, [this, raw] { deliver(MessagePtr(raw)); });
+        scheduleTileEvent(raw->dst, raw->src, 1 + jitter,
+                          [this, raw] { deliver(MessagePtr(raw)); });
         return;
     }
-    msg->netHop = msg->src;
+    raw->netHop = raw->src;
     if (jitter > 0) {
         // Jitter models injection-queue delay: the message waits at the
         // source NIC, then routes normally.
-        Message* raw = msg.release();
-        _eq.scheduleIn(jitter, [this, raw] { route(raw); });
+        scheduleTileEvent(raw->src, raw->src, jitter,
+                          [this, raw] { route(raw); });
         return;
     }
-    route(msg.release());
+    route(raw);
 }
 
 void
@@ -219,8 +196,8 @@ TorusNetwork::route(Message* msg)
     // Serialization: each link is busy for one cycle per flit.
     const Tick ser =
         std::max<Tick>(1, (msg->bytes + _cfg.flitBytes - 1) / _cfg.flitBytes);
-    NodeId cur = msg->netHop;
-    Tick t = sharded() ? curQueue().now() : _eq.now();
+    const NodeId cur = msg->netHop;
+    const Tick t = curQueue().now();
 
     // One event per hop, reserving each link at the tick the message
     // physically reaches its router. Reservation order on a link therefore
@@ -231,30 +208,22 @@ TorusNetwork::route(Message* msg)
     // before physically-earlier messages reach them, which can invert
     // same-pair delivery order and break protocol handshakes.) The hop
     // event captures only [this, msg] — the route cursor lives in
-    // msg->netHop — so it fits std::function's small-buffer storage and
-    // the chain allocates nothing.
+    // msg->netHop — so it fits EventFn's inline storage and the chain
+    // allocates nothing.
     Dir dir;
     const NodeId next = nextHop(cur, msg->dst, dir);
     Tick& free_at = linkFree(cur, dir);
     const Tick depart = std::max(t + _cfg.routerLatency, free_at);
     free_at = depart + ser;
     _linkBusy[std::size_t(cur) * 4 + dir] += ser;
-    const Tick arrive = depart + ser + _cfg.linkLatency;
+    const Tick delay = depart + ser + _cfg.linkLatency - t;
     if (next == msg->dst) {
-        if (sharded()) {
-            scheduleTileEvent(msg->dst, cur, arrive - t,
-                              [this, msg] { deliver(MessagePtr(msg)); });
-            return;
-        }
-        _eq.schedule(arrive, [this, msg] { deliver(MessagePtr(msg)); });
+        scheduleTileEvent(msg->dst, cur, delay,
+                          [this, msg] { deliver(MessagePtr(msg)); });
         return;
     }
     msg->netHop = next;
-    if (sharded()) {
-        scheduleTileEvent(next, cur, arrive - t, [this, msg] { route(msg); });
-        return;
-    }
-    _eq.schedule(arrive, [this, msg] { route(msg); });
+    scheduleTileEvent(next, cur, delay, [this, msg] { route(msg); });
 }
 
 } // namespace sbulk

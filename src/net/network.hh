@@ -199,10 +199,16 @@ class Network
      * relaxes it via allowChannelReorder() — in which case the attached
      * transport layer is responsible for restoring order before dispatch.
      * DirectNetwork asserts this contract on every jittered delivery.
+     *
+     * Serial only: shard threads would call the hook unsynchronized, so
+     * installing one on a sharded network (or sharding a jittered one,
+     * see configureShards) panics.
      */
     void
     setDeliveryJitter(std::function<Tick(const Message&)> jitter)
     {
+        SBULK_ASSERT(!jitter || !_shardPlan,
+                     "delivery jitter requires a serial network");
         _jitter = std::move(jitter);
     }
 
@@ -227,34 +233,28 @@ class Network
      * Route deliveries through per-shard keyed queues and cross-shard
      * channels. @p queues holds one keyed EventQueue per shard; none of
      * the three referents are owned. Serial mode (never calling this)
-     * keeps the original single-queue code paths byte-identical.
+     * schedules everything on the single global queue; the choice lives
+     * only in curQueue(), curTraffic() and scheduleTileEvent().
      */
     void
     configureShards(const ShardPlan* plan, std::vector<EventQueue*> queues,
                     ShardChannels* chan)
     {
+        SBULK_ASSERT(!plan || !_jitter,
+                     "delivery jitter requires a serial network");
         _shardPlan = plan;
         _shardQs = std::move(queues);
         _shardChan = chan;
         _trafficShards.assign(plan ? plan->shards() : 0, TrafficStats{});
     }
 
-    bool sharded() const { return _shardPlan != nullptr; }
-
-    /**
-     * Conservative lookahead bound: the minimum delay of any cross-tile
-     * delivery. Shards may run this many cycles past the global minimum
-     * head tick between barriers without missing an inbound event.
-     */
-    virtual Tick lookahead() const { return 1; }
-
     /**
      * Pairwise lookahead matrix for @p plan, shards x shards: entry
      * [a * S + b] bounds from below the delay of any event a tile of
      * shard a can schedule directly onto a tile of shard b, minimized
-     * over the tile pairs of the two regions (pairLookahead). Wider than
-     * the single lookahead() bound whenever the regions are not
-     * adjacent — the engine's per-shard window horizons come from this.
+     * over the tile pairs of the two regions (pairLookahead). Regions
+     * that are not adjacent get wider bounds than adjacent ones — the
+     * engine's per-shard window horizons come from this.
      * The matrix is *raw*: diagonal entries are 0 and path effects are
      * ignored; ShardEngine closes it over forwarding paths and computes
      * the per-shard feedback-cycle diagonal itself.
@@ -306,17 +306,9 @@ class Network
      * Shard-pair distance primitive behind lookaheadMatrix(): a lower
      * bound on the delay of any event a component at tile @p a can
      * schedule *directly* onto tile @p b (a != b) — multi-hop chains pass
-     * through intermediate tiles and are bounded hop by hop. The base
-     * implementation returns the global lookahead() (exact for
-     * DirectNetwork, whose deliveries jump src->dst in one schedule).
+     * through intermediate tiles and are bounded hop by hop.
      */
-    virtual Tick
-    pairLookahead(NodeId a, NodeId b) const
-    {
-        (void)a;
-        (void)b;
-        return lookahead();
-    }
+    virtual Tick pairLookahead(NodeId a, NodeId b) const = 0;
 
     /** Extra delivery delay for @p msg (0 without a jitter hook). */
     Tick jitterFor(const Message& msg) const
@@ -421,11 +413,18 @@ class DirectNetwork : public Network
         : Network(eq, num_nodes), _latency(latency)
     {}
 
-    /** Every cross-tile delivery takes exactly the wire latency. */
-    Tick lookahead() const override { return _latency; }
-
   protected:
     void transmit(MessagePtr msg) override;
+
+    /** Every cross-tile delivery jumps src->dst in one schedule of
+     *  exactly the wire latency. */
+    Tick
+    pairLookahead(NodeId a, NodeId b) const override
+    {
+        (void)a;
+        (void)b;
+        return _latency;
+    }
 
   private:
     Tick _latency;
@@ -474,14 +473,6 @@ class TorusNetwork : public Network
 
     /** The most-utilized link's busy cycles (hot-spot detection). */
     Tick maxLinkBusy() const;
-
-    /**
-     * The 7-cycle link latency bounds the lookahead window: no cross-tile
-     * event lands sooner than router latency + serialization + one link
-     * traversal (>= 9 cycles), so linkLatency is a safe conservative
-     * horizon.
-     */
-    Tick lookahead() const override { return _cfg.linkLatency; }
 
   protected:
     void transmit(MessagePtr msg) override;

@@ -229,13 +229,13 @@ class BlockedChunkTracker
  * function of the simulated machine — and replayed into the aggregate
  * instance, reproducing the exact sample sequence of a one-queue run for
  * every shard count. Counters and histograms are order-insensitive and
- * merge additively. Serial mode never journals; call sites collapse to
- * the original direct mutations.
+ * merge additively. Serial mode never journals: each mutator applies its
+ * op in place through the same switch (apply) the replay uses.
  */
 class CommitMetrics
 {
   public:
-    /** One journaled gauge mutation (sharded mode only). */
+    /** One gauge mutation (journaled in sharded mode). */
     enum class GaugeOp : std::uint8_t
     {
         Forming,           ///< forming += signed arg
@@ -342,64 +342,26 @@ class CommitMetrics
      */
     void journalTo(EventQueue* eq) { _journalEq = eq; }
 
+    // Signed deltas travel sign-extended; apply() truncates them back.
     void addForming(std::int32_t d)
     {
-        if (_journalEq)
-            journal(GaugeOp::Forming, std::uint64_t(std::int64_t(d)));
-        else
-            forming += d;
+        gauge(GaugeOp::Forming, std::uint64_t(d));
     }
     void addCommitting(std::int32_t d)
     {
-        if (_journalEq)
-            journal(GaugeOp::Committing, std::uint64_t(std::int64_t(d)));
-        else
-            committing += d;
+        gauge(GaugeOp::Committing, std::uint64_t(d));
     }
     void addInflight(std::int32_t d)
     {
-        if (_journalEq)
-            journal(GaugeOp::Inflight, std::uint64_t(std::int64_t(d)));
-        else
-            inflight += d;
+        gauge(GaugeOp::Inflight, std::uint64_t(d));
     }
-    void blockChunk(std::size_t key)
-    {
-        if (_journalEq)
-            journal(GaugeOp::Block, key);
-        else
-            blocked.block(key);
-    }
-    void unblockChunk(std::size_t key)
-    {
-        if (_journalEq)
-            journal(GaugeOp::Unblock, key);
-        else
-            blocked.unblock(key);
-    }
-    void clearChunk(std::size_t key)
-    {
-        if (_journalEq)
-            journal(GaugeOp::ClearBlocked, key);
-        else
-            blocked.clear(key);
-    }
+    void blockChunk(std::size_t key) { gauge(GaugeOp::Block, key); }
+    void unblockChunk(std::size_t key) { gauge(GaugeOp::Unblock, key); }
+    void clearChunk(std::size_t key) { gauge(GaugeOp::ClearBlocked, key); }
     /** Group-formation sample point (journals in sharded mode). */
-    void sampleGroupFormedEvent()
-    {
-        if (_journalEq)
-            journal(GaugeOp::SampleGroupFormed, 0);
-        else
-            sampleOnGroupFormed();
-    }
+    void sampleGroupFormedEvent() { gauge(GaugeOp::SampleGroupFormed, 0); }
     /** TCC/SEQ commit-processing-start sample point. */
-    void sampleQueueEvent()
-    {
-        if (_journalEq)
-            journal(GaugeOp::SampleQueue, 0);
-        else
-            sampleQueueProtocols();
-    }
+    void sampleQueueEvent() { gauge(GaugeOp::SampleQueue, 0); }
     /// @}
 
     /// @name Sharded-run aggregation
@@ -430,8 +392,8 @@ class CommitMetrics
 
     /**
      * Replay a merged journal (sort first — (when, key, sub) is globally
-     * unique) through the direct-mutation paths, reproducing the serial
-     * gauge/sample sequence.
+     * unique) through apply(), reproducing the serial gauge/sample
+     * sequence.
      */
     void
     replayJournal(std::vector<JournalRec> recs)
@@ -444,35 +406,40 @@ class CommitMetrics
                           return a.key < b.key;
                       return a.sub < b.sub;
                   });
-        for (const JournalRec& r : recs) {
-            switch (r.op) {
-              case GaugeOp::Forming:
-                forming += std::int32_t(std::int64_t(r.arg));
-                break;
-              case GaugeOp::Committing:
-                committing += std::int32_t(std::int64_t(r.arg));
-                break;
-              case GaugeOp::Inflight:
-                inflight += std::int32_t(std::int64_t(r.arg));
-                break;
-              case GaugeOp::Block: blocked.block(r.arg); break;
-              case GaugeOp::Unblock: blocked.unblock(r.arg); break;
-              case GaugeOp::ClearBlocked: blocked.clear(r.arg); break;
-              case GaugeOp::SampleGroupFormed: sampleOnGroupFormed(); break;
-              case GaugeOp::SampleQueue: sampleQueueProtocols(); break;
-            }
-        }
+        for (const JournalRec& r : recs)
+            apply(r.op, r.arg);
     }
     /// @}
 
   private:
+    /** Journal @p op (sharded mode) or apply it in place (serial). */
     void
-    journal(GaugeOp op, std::uint64_t arg)
+    gauge(GaugeOp op, std::uint64_t arg)
     {
+        if (!_journalEq) {
+            apply(op, arg);
+            return;
+        }
         _journal.push_back(JournalRec{_journalEq->now(),
                                       _journalEq->currentKey(),
                                       _journalEq->nextJournalSub(), op,
                                       arg});
+    }
+
+    /** The one gauge mutation switch: direct calls and replay share it. */
+    void
+    apply(GaugeOp op, std::uint64_t arg)
+    {
+        switch (op) {
+          case GaugeOp::Forming: forming += std::int32_t(arg); break;
+          case GaugeOp::Committing: committing += std::int32_t(arg); break;
+          case GaugeOp::Inflight: inflight += std::int32_t(arg); break;
+          case GaugeOp::Block: blocked.block(arg); break;
+          case GaugeOp::Unblock: blocked.unblock(arg); break;
+          case GaugeOp::ClearBlocked: blocked.clear(arg); break;
+          case GaugeOp::SampleGroupFormed: sampleOnGroupFormed(); break;
+          case GaugeOp::SampleQueue: sampleQueueProtocols(); break;
+        }
     }
 
     /** Canonical-order token source (null = serial direct mutation). */

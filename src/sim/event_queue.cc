@@ -55,8 +55,8 @@ EventQueue::popPolicyChoice(Src src)
     const HeapEntry chosen = _batch[pick];
     // Re-queue the rest *before* running the chosen callback, so a
     // cancel() from inside it is honoured on their next surfacing.
-    // Ascending-sequence iteration keeps a re-filled ring bucket in FIFO
-    // order; the original sequence numbers are preserved.
+    // Ascending-sequence iteration refills a drained ring bucket by
+    // appends only; the original sequence numbers are preserved.
     for (std::size_t i = 0; i < _batch.size(); ++i) {
         if (i != pick)
             enqueueEntry(_batch[i].slot, _batch[i].when, _batch[i].seq);

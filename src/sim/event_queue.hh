@@ -2,9 +2,12 @@
  * @file
  * Deterministic discrete-event simulation kernel.
  *
- * All simulator components share one EventQueue. Events are plain callbacks
- * scheduled at an absolute Tick. Same-tick ordering is an explicit,
- * documented policy rather than an accident of the underlying container:
+ * A serial run drives the whole machine from one EventQueue; a sharded run
+ * (src/sim/shard.hh) gives each shard its own queue in keyed mode, which
+ * differs only in where tie-break tokens come from (below). Events are
+ * plain callbacks scheduled at an absolute Tick. Same-tick ordering is an
+ * explicit, documented policy rather than an accident of the underlying
+ * container:
  *
  *  - Default (no SchedulePolicy installed): insertion-order FIFO. Every
  *    event carries a monotonically increasing sequence number, and ties at
@@ -24,12 +27,13 @@
  * Time ordering is a calendar ring with a heap overflow. Almost every event
  * in a simulation is scheduled a handful of ticks out (core ops, cache
  * latencies, network hops), so events whose tick falls within kRingTicks of
- * the scan cursor are appended to a per-tick FIFO bucket list: O(1) enqueue
- * and dequeue, no sifting. Only far-future events (long backoffs, start
- * skews, tick limits) overflow into a binary heap of compact
- * (tick, seq, slot) keys. Dispatch always merges the ring's earliest bucket
- * head with the heap top by (tick, seq), so the run order is exactly the
- * documented one regardless of which structure held an event.
+ * the scan cursor are linked into a per-tick bucket list kept in sequence
+ * order: O(1) append in the common case, O(1) dequeue, no sifting. Only
+ * far-future events (long backoffs, start skews, tick limits) overflow
+ * into a binary heap of compact (tick, seq, slot) keys. Dispatch always
+ * merges the ring's earliest bucket head with the heap top by (tick, seq),
+ * so the run order is exactly the documented one regardless of which
+ * structure held an event.
  */
 
 #ifndef SBULK_SIM_EVENT_QUEUE_HH
@@ -106,10 +110,8 @@ class EventQueue
      * unique and — because each tile's counter is only ever advanced by
      * the shard that owns the tile — the (when, key) execution order is a
      * pure function of the simulated machine, identical for any shard
-     * count. The calendar ring still serves the near-future window, but
-     * bucket insertion is by canonical key rather than FIFO append (a
-     * bucket holds exactly one tick's events, whose execution order is
-     * the key order, not insertion order — see enqueueKeyedEntry).
+     * count. Buckets are sorted by this token in both modes (see
+     * enqueueEntry); keyed inserts are the ones that can land mid-list.
      *
      * @param tile_seq Per-tile key counters, shared by all shard queues
      *        (each entry is written only by the owning shard's thread).
@@ -155,20 +157,7 @@ class EventQueue
         SBULK_ASSERT(when >= _now,
                      "keyed injection in the past: when=%llu now=%llu",
                      (unsigned long long)when, (unsigned long long)_now);
-        std::uint32_t idx;
-        if (!_free.empty()) {
-            idx = _free.back();
-            _free.pop_back();
-        } else {
-            idx = std::uint32_t(_slots.size());
-            _slots.emplace_back();
-        }
-        Slot& s = _slots[idx];
-        s.fn = std::forward<F>(fn);
-        s.cancelled = false;
-        s.execTile = exec_tile;
-        enqueueKeyedEntry(idx, when, key);
-        ++_live;
+        insert(when, key, exec_tile, std::forward<F>(fn));
     }
 
     /** Earliest pending tick (kMaxTick when the queue is empty). */
@@ -221,29 +210,11 @@ class EventQueue
         SBULK_ASSERT(when >= _now,
                      "scheduling in the past: when=%llu now=%llu",
                      (unsigned long long)when, (unsigned long long)_now);
-        std::uint32_t idx;
-        if (!_free.empty()) {
-            idx = _free.back();
-            _free.pop_back();
-        } else {
-            idx = std::uint32_t(_slots.size());
-            _slots.emplace_back();
-        }
-        Slot& s = _slots[idx];
-        s.fn = std::forward<F>(fn);
-        s.cancelled = false;
-        const EventHandle h = (EventHandle(s.gen) << 32) | idx;
-        if (_keyed) {
-            // Keyed mode: the creating event's tile stamps the key, and
-            // locally-scheduled events always execute on the same tile
-            // (cross-tile scheduling goes through the network).
-            s.execTile = _execTile;
-            enqueueKeyedEntry(idx, when, allocKey(_execTile));
-        } else {
-            enqueueEntry(idx, when, _nextSeq++);
-        }
-        ++_live;
-        return h;
+        // Keyed mode: the creating event's tile stamps the key, and
+        // locally-scheduled events always execute on the same tile
+        // (cross-tile scheduling goes through the network).
+        return insert(when, _keyed ? allocKey(_execTile) : _nextSeq++,
+                      _execTile, std::forward<F>(fn));
     }
 
     /** Schedule @p fn to run @p delta ticks from now. */
@@ -364,15 +335,15 @@ class EventQueue
         std::uint32_t gen = 0;
         /** Next slot in the same ring bucket (kNilLink at the tail). */
         std::uint32_t next = kNilLink;
-        /** Tile the event executes on (keyed mode only). */
+        /** Tile the event executes on (meaningful in keyed mode). */
         std::uint32_t execTile = 0;
         bool cancelled = false;
     };
 
     /**
-     * A calendar bucket: FIFO list of slots scheduled at one tick.
-     * Appends happen in schedule order, i.e. ascending sequence number, so
-     * draining head-first is exactly the documented same-tick order.
+     * A calendar bucket: list of slots scheduled at one tick, sorted by
+     * ascending sequence number (enqueueEntry), so draining head-first is
+     * exactly the documented same-tick order.
      */
     struct Bucket
     {
@@ -410,6 +381,29 @@ class EventQueue
         return a.seq < b.seq;
     }
 
+    /** Put @p fn in a free slot filed under (@p when, @p seq), to run on
+     *  @p exec_tile; return its handle. */
+    template <typename F>
+    EventHandle
+    insert(Tick when, std::uint64_t seq, std::uint32_t exec_tile, F&& fn)
+    {
+        std::uint32_t idx;
+        if (!_free.empty()) {
+            idx = _free.back();
+            _free.pop_back();
+        } else {
+            idx = std::uint32_t(_slots.size());
+            _slots.emplace_back();
+        }
+        Slot& s = _slots[idx];
+        s.fn = std::forward<F>(fn);
+        s.cancelled = false;
+        s.execTile = exec_tile;
+        enqueueEntry(idx, when, seq);
+        ++_live;
+        return (EventHandle(s.gen) << 32) | idx;
+    }
+
     /**
      * File the slot under its tick: calendar ring when the tick is within
      * the scan window, heap otherwise. The unsigned comparison also routes
@@ -422,6 +416,14 @@ class EventQueue
      * _scanTick only advances — so two entries in one bucket would have to
      * differ by a multiple of kRingTicks, which that half-open window
      * cannot contain.
+     *
+     * A bucket is therefore one tick's events, kept sorted by sequence
+     * number (the canonical key in keyed mode). Serial sequence numbers
+     * only grow and a policy re-queue refills a drained bucket in
+     * ascending order, so serial inserts always take the O(1) append; only
+     * keyed inserts, whose keys come from many tiles, walk the list.
+     * Buckets average a couple of entries, and sequence numbers are
+     * unique, so no equal-key tie exists.
      */
     void
     enqueueEntry(std::uint32_t idx, Tick when, std::uint64_t seq)
@@ -432,45 +434,15 @@ class EventQueue
         if (when - _scanTick < kRingTicks) {
             s.next = kNilLink;
             Bucket& b = _ring[when & (kRingTicks - 1)];
-            if (b.tail == kNilLink)
-                b.head = idx;
-            else
-                _slots[b.tail].next = idx;
-            b.tail = idx;
-            ++_ringCount;
-        } else {
-            heapPush(HeapEntry{when, seq, idx});
-        }
-    }
-
-    /**
-     * Keyed-order counterpart of enqueueEntry. Same ring-vs-heap routing,
-     * but the ring bucket is kept sorted by canonical key instead of
-     * FIFO-appended: a bucket holds exactly one tick's events (uniqueness
-     * argument above), and in keyed mode the required execution order
-     * within a tick is the key order, not insertion order. Buckets average
-     * a couple of entries, so the linear insert is cheap; the common cases
-     * (empty bucket, key above the tail) are O(1). Keys are globally
-     * unique, so no equal-key tie exists.
-     */
-    void
-    enqueueKeyedEntry(std::uint32_t idx, Tick when, std::uint64_t key)
-    {
-        Slot& s = _slots[idx];
-        s.when = when;
-        s.seq = key;
-        if (when - _scanTick < kRingTicks) {
-            s.next = kNilLink;
-            Bucket& b = _ring[when & (kRingTicks - 1)];
             if (b.tail == kNilLink) {
                 b.head = b.tail = idx;
-            } else if (_slots[b.tail].seq < key) {
+            } else if (_slots[b.tail].seq < seq) {
                 _slots[b.tail].next = idx;
                 b.tail = idx;
             } else {
                 std::uint32_t prev = kNilLink;
                 std::uint32_t cur = b.head;
-                while (cur != kNilLink && _slots[cur].seq < key) {
+                while (cur != kNilLink && _slots[cur].seq < seq) {
                     prev = cur;
                     cur = _slots[cur].next;
                 }
@@ -482,7 +454,7 @@ class EventQueue
             }
             ++_ringCount;
         } else {
-            heapPush(HeapEntry{when, key, idx});
+            heapPush(HeapEntry{when, seq, idx});
         }
     }
 
@@ -618,11 +590,9 @@ class EventQueue
         // Move the callback out of the slab first: it may schedule new
         // events, which can grow _slots and invalidate references.
         EventFn fn = std::move(_slots[e.slot].fn);
-        if (_keyed) {
-            _execTile = _slots[e.slot].execTile;
-            _curKey = e.seq;
-            _journalSub = 0;
-        }
+        _execTile = _slots[e.slot].execTile;
+        _curKey = e.seq;
+        _journalSub = 0;
         freeSlot(e.slot);
         SBULK_ASSERT(_live > 0, "dispatch accounting underflow");
         --_live;

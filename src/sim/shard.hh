@@ -15,7 +15,7 @@
  * shards i with pending events of (head[i] + D[i][s])` — including its own
  * self term, which stops a wide window from outrunning replies to its own
  * sends. Far-apart shards therefore synchronize over much wider windows
- * than the old single global `min_head + lookahead()` boundary.
+ * than one global `min_head + link latency` boundary would allow.
  * Cross-shard events travel through per-(src,dst) SPSC ring channels that
  * the destination drains at the next window boundary.
  *
@@ -23,8 +23,9 @@
  * EventQueue::enableKeyedOrder — which is a pure function of the simulated
  * machine, so the executed event sequence per tile and all end-of-run
  * statistics are identical for every shard count >= 2 and for every
- * tile->shard map. (`--shards 1` never constructs any of this and keeps
- * the byte-identical legacy serial path.)
+ * tile->shard map. (`--shards 1` never constructs any of this: it runs one
+ * global queue in sequence-number order, sharing the bucket insert, the
+ * network's transmit/route code and the gauge code with sharded runs.)
  */
 
 #ifndef SBULK_SIM_SHARD_HH

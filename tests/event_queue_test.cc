@@ -236,6 +236,82 @@ TEST(EventQueue, PolicyBatchSpansNearAndFarEvents)
     EXPECT_EQ(order, (std::vector<int>{1, 0}));
 }
 
+namespace
+{
+
+std::uint64_t
+keyOf(std::uint32_t tile, std::uint64_t n)
+{
+    return (std::uint64_t(tile) << 48) | n;
+}
+
+} // namespace
+
+// Keyed (sharded) mode orders same-tick events by canonical key, not by
+// insertion order, in both the ring and the heap, and across the two.
+TEST(EventQueue, KeyedInjectionDispatchesInKeyOrder)
+{
+    std::vector<std::uint64_t> tile_seq(4, 0);
+    EventQueue eq;
+    eq.enableKeyedOrder(&tile_seq);
+    std::vector<std::uint64_t> order;
+    std::vector<std::uint32_t> tiles;
+    auto record = [&] {
+        order.push_back(eq.currentKey());
+        tiles.push_back(eq.execTile());
+    };
+    // Near (ring) at tick 5 and far (heap) at tick 3000, keys shuffled.
+    for (Tick when : {Tick(5), Tick(3000)}) {
+        for (std::uint64_t k :
+             {keyOf(2, 0), keyOf(0, 1), keyOf(3, 0), keyOf(0, 0), keyOf(1, 5)})
+            eq.injectKeyed(when, k, std::uint32_t(k >> 48), record);
+    }
+    // Tick 2500 holds a far entry; at tick 2000 a smaller key joins it
+    // through the ring and must still run first.
+    eq.injectKeyed(2500, keyOf(3, 9), 3, record);
+    eq.injectKeyed(2000, keyOf(2, 9), 2, [&] {
+        record();
+        eq.injectKeyed(2500, keyOf(1, 9), 1, record);
+    });
+    eq.run();
+    const std::vector<std::uint64_t> sorted = {
+        keyOf(0, 0), keyOf(0, 1), keyOf(1, 5), keyOf(2, 0), keyOf(3, 0)};
+    std::vector<std::uint64_t> want = sorted;
+    want.insert(want.end(), {keyOf(2, 9), keyOf(1, 9), keyOf(3, 9)});
+    want.insert(want.end(), sorted.begin(), sorted.end());
+    EXPECT_EQ(order, want);
+    ASSERT_EQ(tiles.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i)
+        EXPECT_EQ(tiles[i], std::uint32_t(want[i] >> 48));
+}
+
+// Keyed schedule() stamps the key from the current execution tile: the
+// one set by setExecTile outside dispatch, the running event's inside.
+TEST(EventQueue, KeyedScheduleStampsKeysFromExecTile)
+{
+    std::vector<std::uint64_t> tile_seq(4, 0);
+    EventQueue eq;
+    eq.enableKeyedOrder(&tile_seq);
+    std::vector<std::uint64_t> order;
+    eq.setExecTile(2);
+    eq.schedule(10, [&] {
+        order.push_back(eq.currentKey());
+        eq.scheduleIn(0, [&] { order.push_back(eq.currentKey()); });
+    });
+    eq.setExecTile(1);
+    eq.schedule(10, [&] {
+        order.push_back(eq.currentKey());
+        EXPECT_EQ(eq.execTile(), 1u);
+    });
+    eq.run();
+    // Tile 1's key sorts first although it was scheduled second; the
+    // nested schedule runs on tile 2 and takes its next counter value.
+    EXPECT_EQ(order,
+              (std::vector<std::uint64_t>{keyOf(1, 0), keyOf(2, 0),
+                                          keyOf(2, 1)}));
+    EXPECT_EQ(tile_seq, (std::vector<std::uint64_t>{0, 1, 2, 0}));
+}
+
 TEST(EventQueue, DeterministicAcrossRuns)
 {
     auto trace = [] {

@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <vector>
+
 #include "proto/commit_protocol.hh"
+#include "sim/event_queue.hh"
 #include "proto/scalablebulk/proc_ctrl.hh"
 
 namespace sbulk
@@ -76,6 +81,69 @@ TEST(CommitMetrics, QueueProtocolSamplingDerivesFromTracker)
     EXPECT_EQ(m.forming, 2);
     EXPECT_EQ(m.committing, 3);
     EXPECT_DOUBLE_EQ(m.chunkQueueLength.mean(), 2.0);
+}
+
+// Journaled gauge ops, split over two instances (as two shards would) and
+// replayed into a third, must end in the gauges and samples that direct
+// mutation of one instance gives.
+TEST(CommitMetrics, JournalReplayMatchesDirectMutation)
+{
+    const std::vector<std::function<void(CommitMetrics&)>> ops = {
+        [](CommitMetrics& m) { m.addForming(3); },
+        [](CommitMetrics& m) { m.addCommitting(2); },
+        [](CommitMetrics& m) { m.sampleGroupFormedEvent(); },
+        [](CommitMetrics& m) { m.addForming(-1); },
+        [](CommitMetrics& m) { m.addInflight(5); },
+        [](CommitMetrics& m) { m.blockChunk(1); },
+        [](CommitMetrics& m) { m.blockChunk(2); },
+        [](CommitMetrics& m) { m.blockChunk(1); },
+        [](CommitMetrics& m) { m.unblockChunk(1); },
+        [](CommitMetrics& m) { m.sampleQueueEvent(); },
+        [](CommitMetrics& m) { m.clearChunk(2); },
+        [](CommitMetrics& m) { m.addCommitting(-4); },
+        [](CommitMetrics& m) { m.sampleGroupFormedEvent(); },
+        [](CommitMetrics& m) { m.addInflight(-2); },
+        [](CommitMetrics& m) { m.sampleQueueEvent(); },
+    };
+    CommitMetrics direct;
+    for (const auto& op : ops)
+        op(direct);
+
+    // Two ops per event, events alternating between the two instances.
+    EventQueue eq;
+    CommitMetrics shard[2];
+    shard[0].journalTo(&eq);
+    shard[1].journalTo(&eq);
+    for (std::size_t i = 0; i < ops.size(); i += 2) {
+        eq.schedule(i, [&, i] {
+            for (std::size_t j = i; j < std::min(i + 2, ops.size()); ++j)
+                ops[j](shard[(i / 2) % 2]);
+        });
+    }
+    eq.run();
+    EXPECT_EQ(shard[0].forming, 0); // journaled, not applied
+    EXPECT_EQ(shard[0].bottleneckRatio.count(), 0u);
+
+    // Merge out of order; replay sorts.
+    std::vector<CommitMetrics::JournalRec> recs = shard[1].takeJournal();
+    for (const auto& r : shard[0].takeJournal())
+        recs.push_back(r);
+    CommitMetrics merged;
+    merged.replayJournal(std::move(recs));
+
+    EXPECT_EQ(merged.forming, direct.forming);
+    EXPECT_EQ(merged.committing, direct.committing);
+    EXPECT_EQ(merged.queued, direct.queued);
+    EXPECT_EQ(merged.inflight, direct.inflight);
+    EXPECT_EQ(merged.blocked.distinct(), direct.blocked.distinct());
+    ASSERT_EQ(direct.bottleneckRatio.count(), 4u);
+    EXPECT_EQ(merged.bottleneckRatio.count(), direct.bottleneckRatio.count());
+    EXPECT_DOUBLE_EQ(merged.bottleneckRatio.sum(),
+                     direct.bottleneckRatio.sum());
+    EXPECT_EQ(merged.chunkQueueLength.count(),
+              direct.chunkQueueLength.count());
+    EXPECT_DOUBLE_EQ(merged.chunkQueueLength.sum(),
+                     direct.chunkQueueLength.sum());
 }
 
 TEST(CommitMetrics, RecordCommitCapturesFootprintAndLatency)

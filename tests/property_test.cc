@@ -95,7 +95,8 @@ INSTANTIATE_TEST_SUITE_P(Sizes, TorusProperty,
                          ::testing::Values(4u, 8u, 16u, 32u, 64u),
                          [](const ::testing::TestParamInfo<std::uint32_t>&
                                 info) {
-                             return "n" + std::to_string(info.param);
+                             return std::string("n") +=
+                                    std::to_string(info.param);
                          });
 
 // ------------------------------------------------------ cache properties

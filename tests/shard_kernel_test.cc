@@ -236,5 +236,19 @@ TEST(ShardKernelDeath, ValidateIncompatibleWithShards)
         "serial");
 }
 
+TEST(ShardKernelDeath, DeliveryJitterIncompatibleWithShards)
+{
+    // Shard threads would call the hook unsynchronized.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    SystemConfig cfg = shardedConfig(8, 2, ProtocolKind::ScalableBulk);
+    EXPECT_DEATH(
+        {
+            System sys(cfg, makeStreams(cfg, conflictParams()));
+            sys.network().setDeliveryJitter(
+                [](const Message&) { return Tick(0); });
+        },
+        "jitter requires a serial network");
+}
+
 } // namespace
 } // namespace sbulk
