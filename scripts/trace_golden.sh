@@ -1,23 +1,28 @@
 #!/usr/bin/env bash
 # Golden-trace smoke (see WORKLOADS.md): validates the committed scenario
-# traces, replays each one, and diffs the per-tenant replay CSV against
-# traces/GOLDEN_STATS.csv byte for byte. Scenario generation and replay
-# are deterministic, so any diff is a behaviour change that must either be
-# fixed or explicitly re-baselined with --update.
+# traces, runs each one through sbulk-sweep under ScalableBulk, and diffs
+# the per-tenant CSV against traces/GOLDEN_STATS.csv byte for byte.
+# Scenario generation and replay are deterministic, so any diff is a
+# behaviour change that must either be fixed or explicitly re-baselined
+# with --update.
 #
 # Usage: scripts/trace_golden.sh [--update]
-#   BUILD_DIR  build tree holding tools/sbulk-trace (default: build)
+#   BUILD_DIR  build tree holding tools/sbulk-trace and tools/sbulk-sweep
+#              (default: build; relative paths are from the repo root)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR=${BUILD_DIR:-build}
 TRACE="$BUILD_DIR/tools/sbulk-trace"
+SWEEP="$BUILD_DIR/tools/sbulk-sweep"
 GOLDEN=traces/GOLDEN_STATS.csv
 
-if [ ! -x "$TRACE" ]; then
-    echo "error: $TRACE not built (set BUILD_DIR?)" >&2
-    exit 2
-fi
+for tool in "$TRACE" "$SWEEP"; do
+    if [ ! -x "$tool" ]; then
+        echo "error: $tool not built (set BUILD_DIR?)" >&2
+        exit 2
+    fi
+done
 
 out=$(mktemp)
 trap 'rm -f "$out"' EXIT
@@ -28,10 +33,10 @@ for t in traces/*.sbt; do
     # loudly, not replay garbage.
     "$TRACE" validate "$t" >/dev/null
     if [ "$first" = 1 ]; then
-        "$TRACE" replay "$t" --csv >>"$out"
+        "$SWEEP" --trace "$t" --protocols scalablebulk >>"$out"
         first=0
     else
-        "$TRACE" replay "$t" --csv | tail -n +2 >>"$out"
+        "$SWEEP" --trace "$t" --protocols scalablebulk | tail -n +2 >>"$out"
     fi
 done
 
@@ -46,9 +51,12 @@ diff -u "$GOLDEN" "$out"
 
 # A fault-injected replay (see ROBUSTNESS.md) must still commit every
 # request: the recovery layer composes with trace-driven workloads.
-clean=$("$TRACE" replay traces/kv-zipf.sbt --csv | sed -n 2p | cut -d, -f6)
-faulted=$("$TRACE" replay traces/kv-zipf.sbt --csv \
-    --faults "seed=3,drop=0.02,dup=0.01" | sed -n 2p | cut -d, -f6)
+commits() {
+    "$SWEEP" --trace traces/kv-zipf.sbt --protocols scalablebulk "$@" |
+        sed -n 2p | cut -d, -f7
+}
+clean=$(commits)
+faulted=$(commits --faults "seed=3,drop=0.02,dup=0.01")
 if [ "$clean" != "$faulted" ]; then
     echo "error: fault-injected replay committed $faulted of $clean" >&2
     exit 1

@@ -57,15 +57,8 @@ drive(const CheckConfig& cfg, Scheduler& make_scheduler)
     ObserverChain observers{&suite};
     const bool faulted = cfg.faults.enabled();
     if (faulted) {
-        // Arm the recovery layer the transport-level faults are aimed at:
-        // seeded capped-exponential retry backoff, starvation escalation,
-        // and per-request watchdogs that kick the transport into
-        // retransmitting (dedup makes the kick idempotent).
         observers.add(&monitor);
-        sys_cfg.proto.expBackoff = true;
-        sys_cfg.proto.backoffSeed = cfg.faults.seed;
-        if (cfg.faults.watchdog)
-            sys_cfg.proto.watchdogTimeout = Tick(cfg.faults.rxCap) * 2;
+        fault::FaultTransport::armRecovery(cfg.faults, sys_cfg.proto);
     }
     // Without faults the suite is attached directly — identical plumbing
     // to the pre-fault checker, so unfaulted traces stay byte-identical.
@@ -89,15 +82,9 @@ drive(const CheckConfig& cfg, Scheduler& make_scheduler)
     sys.network().setDeliveryJitter(sched.jitterFn());
 
     std::unique_ptr<fault::FaultTransport> transport;
-    if (faulted) {
+    if (faulted)
         transport = std::make_unique<fault::FaultTransport>(
             sys.network(), cfg.faults, /*stream_salt=*/cfg.seed);
-        sys.network().setTransport(transport.get());
-        // ARQ restores per-channel order at the receiver, so the wire may
-        // reorder; without ARQ the transport clamps delays to keep each
-        // channel FIFO and the network-level assertion stays armed.
-        sys.network().allowChannelReorder(cfg.faults.arq);
-    }
 
     // run(0) starts the cores and returns without stepping; from here the
     // checker owns the loop so deadlock is an observation, not a panic.
@@ -165,10 +152,10 @@ drive(const CheckConfig& cfg, Scheduler& make_scheduler)
     r.trace = sched.trace();
     r.traceHash = r.trace.hash();
 
-    // Detach before the scheduler (and transport) go out of scope.
+    // Detach before the scheduler goes out of scope (the transport
+    // detaches itself).
     sys.eventQueue().setSchedulePolicy(nullptr);
     sys.network().setDeliveryJitter(nullptr);
-    sys.network().setTransport(nullptr);
     return r;
 }
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "proto/commit_protocol.hh"
+
 namespace sbulk::fault
 {
 
@@ -41,7 +43,24 @@ FaultTransport::FaultTransport(Network& net, const FaultPlan& plan,
                                std::uint64_t stream_salt)
     : TransportLayer(net), _plan(plan),
       _rng(plan.seed + stream_salt * 0x9e3779b97f4a7c15ull)
-{}
+{
+    _net.setTransport(this);
+    _net.allowChannelReorder(plan.arq);
+}
+
+FaultTransport::~FaultTransport()
+{
+    _net.setTransport(nullptr);
+}
+
+void
+FaultTransport::armRecovery(const FaultPlan& plan, ProtoConfig& proto)
+{
+    proto.expBackoff = true;
+    proto.backoffSeed = plan.seed;
+    if (plan.watchdog)
+        proto.watchdogTimeout = Tick(plan.rxCap) * 2;
+}
 
 void
 FaultTransport::recordInjected(FaultAction a, const Message& msg)

@@ -29,6 +29,11 @@
 #include "sim/random.hh"
 #include "sim/stats.hh"
 
+namespace sbulk
+{
+struct ProtoConfig;
+}
+
 namespace sbulk::fault
 {
 
@@ -100,11 +105,12 @@ struct FaultStats
  * entirely — a fault-free plan consumes no randomness and perturbs
  * nothing.
  *
- * Attach with Network::setTransport(); detach before destruction. The
- * owner must also set Network::allowChannelReorder(true) when (and only
- * when) the plan runs ARQ, since delay faults may reorder the wire while
+ * Construction attaches the transport to the network and destruction
+ * detaches it. Construction also sets Network::allowChannelReorder() to
+ * the plan's ARQ switch: with ARQ, delay faults may reorder the wire while
  * the transport restores order before dispatch; without ARQ the transport
- * clamps delays to keep each channel FIFO instead.
+ * clamps delays to keep each channel FIFO and the network's FIFO
+ * assertion stays armed.
  */
 class FaultTransport : public TransportLayer
 {
@@ -114,6 +120,15 @@ class FaultTransport : public TransportLayer
      *  the same fault stream. */
     FaultTransport(Network& net, const FaultPlan& plan,
                    std::uint64_t stream_salt = 0);
+    ~FaultTransport() override;
+
+    /**
+     * Arm the protocol recovery layer the plan's faults are aimed at (see
+     * ROBUSTNESS.md): seeded capped-exponential retry backoff and, unless
+     * the plan turns it off, per-request watchdogs that kick the transport
+     * into retransmitting (dedup makes the kick idempotent).
+     */
+    static void armRecovery(const FaultPlan& plan, ProtoConfig& proto);
 
     void onSend(MessagePtr msg) override;
     void onArrive(MessagePtr msg) override;

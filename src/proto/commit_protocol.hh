@@ -99,14 +99,6 @@ struct ProtoConfig
      * linear formula is part of the golden baselines.
      */
     bool expBackoff = false;
-    /** Backoff cap, cycles (exponential policy only). */
-    Tick backoffCap = 2000;
-    /**
-     * After this many consecutive failures of one chunk, clamp its retry
-     * delay back to the base so the directory-side starvation reservation
-     * (which needs to see the chunk keep trying) can latch. 0 = never.
-     */
-    std::uint32_t escalateAfter = 8;
     /** Seed of the per-processor retry jitter (exponential policy only). */
     std::uint64_t backoffSeed = 0;
     /**

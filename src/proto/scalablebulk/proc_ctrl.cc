@@ -181,7 +181,9 @@ SbProcCtrl::retryDelay()
     // Capped exponential backoff with seeded jitter (fault-injection
     // runs): doubles per failure up to the cap, drawn uniformly from
     // [cap/2, cap] to decorrelate colliding retriers.
-    if (_ctx.cfg.escalateAfter && attempts >= _ctx.cfg.escalateAfter) {
+    constexpr Tick kBackoffCap = 2000;
+    constexpr std::uint32_t kEscalateAfter = 8;
+    if (attempts >= kEscalateAfter) {
         // Starvation-fairness escalation: a chunk this unlucky stops
         // backing off and hammers at the base period, so the directory's
         // starvation reservation (Section 3.2.2) — which latches on
@@ -192,7 +194,7 @@ SbProcCtrl::retryDelay()
     }
     const Tick ceil = std::min<Tick>(
         _ctx.cfg.commitRetryDelay << std::min<std::uint32_t>(attempts, 10),
-        _ctx.cfg.backoffCap);
+        kBackoffCap);
     return ceil / 2 + Tick(_retryRng.below(ceil / 2 + 1));
 }
 

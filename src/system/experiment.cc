@@ -229,15 +229,8 @@ runExperiment(const RunConfig& cfg, StatSet* stats)
     sys_cfg.shards = cfg.shards;
     sys_cfg.interleavedPages = cfg.interleavedPages;
     const bool faulted = cfg.faults.enabled();
-    if (faulted) {
-        // Arm the recovery layer the injected faults are aimed at (see
-        // ROBUSTNESS.md): seeded capped-exponential retry backoff plus
-        // per-request watchdogs that kick the transport to retransmit.
-        sys_cfg.proto.expBackoff = true;
-        sys_cfg.proto.backoffSeed = cfg.faults.seed;
-        if (cfg.faults.watchdog)
-            sys_cfg.proto.watchdogTimeout = Tick(cfg.faults.rxCap) * 2;
-    }
+    if (faulted)
+        fault::FaultTransport::armRecovery(cfg.faults, sys_cfg.proto);
     sys_cfg.core.chunkInstrs = cfg.chunkInstrs;
     sys_cfg.core.sigCfg = cfg.sig;
     sys_cfg.core.chunksToRun =
@@ -252,12 +245,9 @@ runExperiment(const RunConfig& cfg, StatSet* stats)
     System sys(sys_cfg, std::move(streams));
 
     std::unique_ptr<fault::FaultTransport> transport;
-    if (faulted) {
+    if (faulted)
         transport = std::make_unique<fault::FaultTransport>(
             sys.network(), cfg.faults, /*stream_salt=*/run_seed);
-        sys.network().setTransport(transport.get());
-        sys.network().allowChannelReorder(cfg.faults.arq);
-    }
 
     const auto wall0 = std::chrono::steady_clock::now();
     const Tick end = sys.run(cfg.tickLimit);
@@ -321,7 +311,6 @@ runExperiment(const RunConfig& cfg, StatSet* stats)
         r.watchdogFires = m.watchdogFires.value();
         r.retryEscalations = m.retryEscalations.value();
         r.recoveryLatencyMean = transport->stats().recoveryLatency.mean();
-        sys.network().setTransport(nullptr);
     }
     return r;
 }

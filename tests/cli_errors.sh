@@ -4,7 +4,8 @@
 # backtrace). One good line checks that --debug-trace runs.
 #
 # Usage: tests/cli_errors.sh TOOLS_DIR
-#   TOOLS_DIR  directory holding sbulk-sim, sbulk-sweep and sbulk-check
+#   TOOLS_DIR  directory holding sbulk-sim, sbulk-sweep, sbulk-check and
+#              sbulk-trace
 set -uo pipefail
 
 TOOLS=${1:?usage: cli_errors.sh TOOLS_DIR}
@@ -38,9 +39,10 @@ expect_usage_error sbulk-sweep --procs 4 --shards 9
 expect_usage_error sbulk-sweep --seed abc
 expect_usage_error sbulk-check --procs 0
 expect_usage_error sbulk-check --chunk-instrs 0
-expect_usage_error sbulk-trace replay
+expect_usage_error sbulk-trace cat
 expect_usage_error sbulk-trace cat missing.sbt --protocol tcc
-expect_usage_error sbulk-trace replay missing.sbt --seed 5
+expect_usage_error sbulk-trace validate missing.sbt --seed 5
+expect_usage_error sbulk-trace replay kv.sbt
 
 # A trace whose header is fine but whose records stop short fails mid-run,
 # in a --jobs worker for the sweep.
@@ -48,7 +50,6 @@ trace=$(dirname "$0")/../traces/kv-zipf.sbt
 head -c $(($(wc -c <"$trace") - 30)) "$trace" >"$tmp/cut.sbt"
 expect_usage_error sbulk-sim --trace "$tmp/cut.sbt"
 expect_usage_error sbulk-sweep --trace "$tmp/cut.sbt" --jobs 4
-expect_usage_error sbulk-trace replay "$tmp/cut.sbt"
 
 if ! "$TOOLS/sbulk-sim" --debug-trace commit --procs 4 --chunks 16 \
     >/dev/null 2>&1; then

@@ -39,12 +39,12 @@ simLine(SimOptions& o, const std::vector<const char*>& args)
 
 Error
 sweepLine(const std::vector<const char*>& args,
-          std::vector<SweepOptions::Run>* runs = nullptr)
+          std::vector<RunConfig>* runs = nullptr)
 {
     SweepOptions o;
     if (Error err = parseLine(sweepFlags(o), args))
         return err;
-    std::vector<SweepOptions::Run> matrix;
+    std::vector<RunConfig> matrix;
     Error err = o.resolve(matrix);
     if (runs)
         *runs = matrix;
@@ -178,7 +178,7 @@ TEST(CliParse, SimDefaultsAndCustomWorkload)
 
 TEST(CliParse, GoodSweepLineBuildsTheMatrixInOrder)
 {
-    std::vector<SweepOptions::Run> runs;
+    std::vector<RunConfig> runs;
     ASSERT_EQ(sweepLine({"--apps", "Radix,LU", "--protocols", "tcc,seq",
                          "--procs", "4,8", "--chunks", "64", "--jobs", "2",
                          "--faults", "seed=3,drop=0.02", "--chunk-instrs",
@@ -188,26 +188,26 @@ TEST(CliParse, GoodSweepLineBuildsTheMatrixInOrder)
                         &runs),
               std::nullopt);
     ASSERT_EQ(runs.size(), 8u);
-    EXPECT_EQ(runs[0].cfg.app, findApp("Radix"));
-    EXPECT_EQ(runs[0].cfg.protocol, ProtocolKind::TCC);
-    EXPECT_EQ(runs[0].cfg.procs, 4u);
-    EXPECT_EQ(runs[1].cfg.procs, 8u);
-    EXPECT_EQ(runs[2].cfg.protocol, ProtocolKind::SEQ);
-    EXPECT_EQ(runs[7].cfg.app, findApp("LU"));
-    EXPECT_STREQ(runs[7].suite, "SPLASH-2");
-    for (const SweepOptions::Run& run : runs) {
-        EXPECT_EQ(run.cfg.totalChunks, 64u);
-        EXPECT_TRUE(run.cfg.faults.enabled());
-        EXPECT_EQ(run.cfg.chunkInstrs, 500u);
-        EXPECT_EQ(run.cfg.sig.totalBits, 1024u);
-        EXPECT_FALSE(run.cfg.proto.oci);
-        EXPECT_EQ(run.cfg.proto.starvationMax, 8u);
-        EXPECT_EQ(run.cfg.proto.leaderRotationInterval, 2000u);
+    EXPECT_EQ(runs[0].app, findApp("Radix"));
+    EXPECT_EQ(runs[0].protocol, ProtocolKind::TCC);
+    EXPECT_EQ(runs[0].procs, 4u);
+    EXPECT_EQ(runs[1].procs, 8u);
+    EXPECT_EQ(runs[2].protocol, ProtocolKind::SEQ);
+    EXPECT_EQ(runs[7].app, findApp("LU"));
+    EXPECT_EQ(runs[7].app->suite, "SPLASH-2");
+    for (const RunConfig& run : runs) {
+        EXPECT_EQ(run.totalChunks, 64u);
+        EXPECT_TRUE(run.faults.enabled());
+        EXPECT_EQ(run.chunkInstrs, 500u);
+        EXPECT_EQ(run.sig.totalBits, 1024u);
+        EXPECT_FALSE(run.proto.oci);
+        EXPECT_EQ(run.proto.starvationMax, 8u);
+        EXPECT_EQ(run.proto.leaderRotationInterval, 2000u);
     }
 
     ASSERT_EQ(sweepLine({}, &runs), std::nullopt);
     EXPECT_EQ(runs.size(), 18u * 4u * 2u);
-    EXPECT_EQ(runs[0].cfg.totalChunks, 1280u);
+    EXPECT_EQ(runs[0].totalChunks, 1280u);
 }
 
 TEST(CliParse, GoodCheckLineFillsTheConfig)
@@ -234,13 +234,13 @@ TEST(CliParse, GoodCheckLineFillsTheConfig)
 TEST(CliParse, GoodTraceLineFillsOptionsAndPositional)
 {
     TraceOptions o;
-    const char* argv[] = {"sbulk-trace", "replay", "kv.sbt", "--protocol",
-                          "seq", "--csv", "--chunks", "64", "-o", "x"};
+    const char* argv[] = {"sbulk-trace", "gen", "kv-zipf", "--procs", "16",
+                          "--tenants", "2", "--text", "-o", "x"};
     ASSERT_EQ(parse(traceFlags(o), 10, argv, 2, {&o.input}), std::nullopt);
-    EXPECT_EQ(o.input, "kv.sbt");
-    EXPECT_EQ(o.protocol, ProtocolKind::SEQ);
-    EXPECT_TRUE(o.csv);
-    EXPECT_EQ(o.chunks, 64u);
+    EXPECT_EQ(o.input, "kv-zipf");
+    EXPECT_EQ(o.procs, 16u);
+    EXPECT_EQ(o.scen.tenants, 2u);
+    EXPECT_TRUE(o.text);
     EXPECT_EQ(o.output, "x");
 
     TraceOptions missing;
@@ -248,7 +248,7 @@ TEST(CliParse, GoodTraceLineFillsOptionsAndPositional)
     TraceOptions extra;
     EXPECT_TRUE(parse(traceFlags(extra), 3, argv, 2, {}));
     TraceOptions help;
-    const char* help_argv[] = {"sbulk-trace", "replay", "-h"};
+    const char* help_argv[] = {"sbulk-trace", "gen", "-h"};
     EXPECT_EQ(parse(traceFlags(help), 3, help_argv, 2, {&help.input}),
               std::nullopt);
     EXPECT_TRUE(help.help);

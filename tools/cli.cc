@@ -41,6 +41,69 @@ rangeText(std::uint64_t lo, std::uint64_t hi)
     return "in " + std::to_string(lo) + ".." + std::to_string(hi);
 }
 
+/** One row per tenant of @p r, "all" first, each rendered with @p fmt over
+ *  (tenant, commits, squashes, p50, p99, squash rate, commits per
+ *  Mcycle): %s, 4 x %llu, 2 x %f. */
+std::vector<std::string>
+tenantRows(const RunResult& r, const char* fmt)
+{
+    std::vector<std::string> rows;
+    const auto add = [&](const std::string& tenant, std::uint64_t commits,
+                         std::uint64_t squashes, const Distribution& lat) {
+        const std::uint64_t attempts = commits + squashes;
+        rows.push_back(detail::formatMsg(
+            fmt, tenant.c_str(), (unsigned long long)commits,
+            (unsigned long long)squashes,
+            (unsigned long long)lat.percentile(0.50),
+            (unsigned long long)lat.percentile(0.99),
+            attempts ? double(squashes) / double(attempts) : 0.0,
+            r.makespan ? 1e6 * double(commits) / double(r.makespan) : 0.0));
+    };
+    add("all", r.commits, r.chunksSquashed, r.commitLatency);
+    for (const RunResult::TenantStats& t : r.tenants)
+        add(std::to_string(t.tenant), t.commits, t.squashes,
+            t.commitLatency);
+    return rows;
+}
+
+/** The suite column: the app's suite, the scenario's family, or "trace". */
+const char*
+suiteOf(const RunConfig& cfg)
+{
+    if (cfg.app)
+        return cfg.app->suite.c_str();
+    if (!cfg.scenario.empty())
+        return atrace::findScenario(cfg.scenario)->family;
+    return "trace";
+}
+
+/** The --figure-data columns: the six message classes, then each
+ *  histogram's bucket counts joined by ';', trailing zero buckets trimmed. */
+std::string
+figureColumns(const RunResult& r)
+{
+    std::string out;
+    for (MsgClass c : {MsgClass::MemRd, MsgClass::RemoteShRd,
+                       MsgClass::RemoteDirtyRd, MsgClass::LargeCMessage,
+                       MsgClass::SmallCMessage, MsgClass::Other}) {
+        out += ',';
+        out += std::to_string(r.traffic.messages(c));
+    }
+    for (const Distribution* d : {&r.dirsPerCommit, &r.commitLatency}) {
+        const std::vector<std::uint64_t>& b = d->buckets();
+        std::size_t n = b.size();
+        while (n > 0 && b[n - 1] == 0)
+            --n;
+        out += ',';
+        for (std::size_t i = 0; i < n; ++i) {
+            if (i)
+                out += ';';
+            out += std::to_string(b[i]);
+        }
+    }
+    return out;
+}
+
 } // namespace
 
 Error
@@ -266,37 +329,79 @@ printScenarios()
         std::printf("%-18s %-9s %s\n", s.name, s.family, s.summary);
 }
 
-std::vector<std::string>
-tenantRows(const RunResult& r, const char* fmt)
-{
-    std::vector<std::string> rows;
-    const auto add = [&](const std::string& tenant, std::uint64_t commits,
-                         std::uint64_t squashes, const Distribution& lat) {
-        const std::uint64_t attempts = commits + squashes;
-        rows.push_back(detail::formatMsg(
-            fmt, tenant.c_str(), (unsigned long long)commits,
-            (unsigned long long)squashes,
-            (unsigned long long)lat.percentile(0.50),
-            (unsigned long long)lat.percentile(0.99),
-            attempts ? double(squashes) / double(attempts) : 0.0,
-            r.makespan ? 1e6 * double(commits) / double(r.makespan) : 0.0));
-    };
-    add("all", r.commits, r.chunksSquashed, r.commitLatency);
-    for (const RunResult::TenantStats& t : r.tenants)
-        add(std::to_string(t.tenant), t.commits, t.squashes,
-            t.commitLatency);
-    return rows;
-}
-
 void
-printTenantTable(const RunResult& r, bool with_all)
+printTenantTable(const RunResult& r)
 {
     std::printf("%-8s %10s %9s %8s %8s %8s %10s\n", "tenant", "commits",
                 "squashes", "p50", "p99", "sqRate", "req/Mcyc");
-    const std::vector<std::string> rows =
-        tenantRows(r, "%-8s %10llu %9llu %8llu %8llu %8.4f %10.2f\n");
-    for (std::size_t i = with_all ? 0 : 1; i < rows.size(); ++i)
-        std::fputs(rows[i].c_str(), stdout);
+    for (const std::string& row :
+         tenantRows(r, "%-8s %10llu %9llu %8llu %8llu %8.4f %10.2f\n"))
+        std::fputs(row.c_str(), stdout);
+}
+
+std::string
+csvHeader(bool faulted, bool traced, bool figure_data)
+{
+    std::string out =
+        "app,suite,protocol,procs,seed,makespan,commits,usefulFrac,"
+        "cacheMissFrac,commitFrac,squashFrac,latMean,latP90,dirs,writeDirs,"
+        "bottleneck,queue,failures,squashTrue,squashAlias,recalls,messages,"
+        "l1HitRate";
+    if (faulted)
+        out += ",faultsInjected,retransmissions,dupsDropped,watchdogFires,"
+               "retryEscalations,recoveryLatMean";
+    if (traced)
+        out += ",tenant,tenantCommits,tenantSquashes,tenantP50,tenantP99,"
+               "tenantSquashRate,tenantTput";
+    if (figure_data)
+        out += ",memRd,remoteShRd,remoteDirtyRd,largeC,smallC,other,"
+               "dirsHist,latHist";
+    return out + '\n';
+}
+
+std::string
+csvRows(const RunConfig& cfg, const RunResult& r, bool figure_data)
+{
+    const double total = r.breakdown.total();
+    std::string row = detail::formatMsg(
+        "%s,%s,%s,%u,%llu,%llu,%llu,%.4f,%.4f,%.4f,%.4f,%.1f,%llu,%.2f,"
+        "%.2f,%.2f,%.2f,%llu,%llu,%llu,%llu,%llu,%.4f",
+        r.app.c_str(), suiteOf(cfg), protocolName(cfg.protocol), cfg.procs,
+        (unsigned long long)r.seed, (unsigned long long)r.makespan,
+        (unsigned long long)r.commits, r.breakdown.useful / total,
+        r.breakdown.cacheMiss / total, r.breakdown.commit / total,
+        r.breakdown.squash / total, r.commitLatencyMean,
+        (unsigned long long)r.commitLatency.percentile(0.9),
+        r.dirsPerCommitMean, r.writeDirsPerCommitMean, r.bottleneckRatio,
+        r.chunkQueueLength, (unsigned long long)r.commitFailures,
+        (unsigned long long)r.squashesTrueConflict,
+        (unsigned long long)r.squashesAliasing,
+        (unsigned long long)r.commitRecalls,
+        (unsigned long long)r.traffic.totalMessages(),
+        r.loads ? double(r.l1Hits) / double(r.loads) : 0.0);
+    // Degradation columns exist only under --faults, so the default CSV
+    // stays byte-identical to the pre-fault sweep.
+    if (cfg.faults.enabled()) {
+        row += detail::formatMsg(
+            ",%llu,%llu,%llu,%llu,%llu,%.1f",
+            (unsigned long long)r.faultsInjected,
+            (unsigned long long)r.retransmissions,
+            (unsigned long long)r.dupsDropped,
+            (unsigned long long)r.watchdogFires,
+            (unsigned long long)r.retryEscalations, r.recoveryLatencyMean);
+    }
+    // --figure-data columns come last, after the fault and tenant ones.
+    std::string tail = figure_data ? figureColumns(r) : "";
+    tail += '\n';
+    if (!r.traced)
+        return row + tail;
+    // Per-tenant long format: every tenant (plus an "all" aggregate)
+    // repeats the run columns, so each line is self-describing.
+    std::string out;
+    for (const std::string& tenant :
+         tenantRows(r, ",%s,%llu,%llu,%llu,%llu,%.4f,%.4f"))
+        out += row + tenant + tail;
+    return out;
 }
 
 const char* const kProtocolsHelp =
@@ -332,6 +437,8 @@ knobFlags(RunConfig& r)
          number(r.proto.starvationMax, 0)},
         {"--rotation", "N", "leader-rotation interval, cycles",
          number(r.proto.leaderRotationInterval, 0)},
+        {"--faults", "PLAN", "inject transport faults (ROBUSTNESS.md)",
+         faultPlan(r.faults)},
     };
 }
 
@@ -436,7 +543,7 @@ simFlags(SimOptions& o)
 }
 
 Error
-SweepOptions::resolve(std::vector<Run>& out) const
+SweepOptions::resolve(std::vector<RunConfig>& out) const
 {
     if (!scenarios.empty() && !base.tracePath.empty())
         return "--scenario and --trace are mutually exclusive";
@@ -461,38 +568,38 @@ SweepOptions::resolve(std::vector<Run>& out) const
     }
 
     // The workload axis; protocols and processor counts vary inside it.
-    std::vector<Run> workloads;
+    std::vector<RunConfig> workloads;
     for (const std::string& name : scenarios) {
         const atrace::ScenarioSpec* spec = atrace::findScenario(name);
         if (!spec)
             return "unknown scenario '" + name + "' (see --list-scenarios)";
-        workloads.push_back(Run{shared, spec->family});
-        workloads.back().cfg.scenario = spec->name;
+        workloads.push_back(shared);
+        workloads.back().scenario = spec->name;
     }
     if (!base.tracePath.empty())
-        workloads.push_back(Run{shared, "trace"});
+        workloads.push_back(shared);
     for (const std::string& name : apps) {
         const AppSpec* app = findApp(name);
         if (!app)
             return "unknown app '" + name + "' (see --list-apps)";
-        workloads.push_back(Run{shared, app->suite.c_str()});
-        workloads.back().cfg.app = app;
+        workloads.push_back(shared);
+        workloads.back().app = app;
     }
     if (workloads.empty()) {
         for (const AppSpec& app : allApps()) {
-            workloads.push_back(Run{shared, app.suite.c_str()});
-            workloads.back().cfg.app = &app;
+            workloads.push_back(shared);
+            workloads.back().app = &app;
         }
     }
 
     out.clear();
-    for (const Run& w : workloads) {
+    for (const RunConfig& w : workloads) {
         for (ProtocolKind proto : protocols) {
             for (std::uint32_t p : counts) {
                 out.push_back(w);
-                out.back().cfg.protocol = proto;
-                out.back().cfg.procs = p;
-                if (Error err = out.back().cfg.validate())
+                out.back().protocol = proto;
+                out.back().procs = p;
+                if (Error err = out.back().validate())
                     return err;
             }
         }
@@ -523,8 +630,6 @@ sweepFlags(SweepOptions& o)
         {"--jobs", "N", kJobsHelp, number(o.jobs, 0, 4096)},
         {"--shards", "N", "event-kernel shards per run, 1..procs",
          number(b.shards, 1, 4096)},
-        {"--faults", "PLAN", "inject transport faults (ROBUSTNESS.md)",
-         faultPlan(b.faults)},
         {"--scenario", "S,T", "serving scenarios instead of apps",
          names(o.scenarios)},
         {"--scenarios", "S,T", "same as --scenario", names(o.scenarios)},
@@ -601,35 +706,22 @@ traceFlags(TraceOptions& o)
 {
     return {
         {"--help", nullptr, "print this help (also -h)", set(o.help)},
-        {"-o", "FILE", "gen, record, convert: output file", text(o.output)},
+        {"-o", "FILE", "gen, convert: output file", text(o.output)},
         {"--output", "FILE", "same as -o", text(o.output)},
-        {"--app", "NAME", "record: application model (default Radix)",
-         text(o.app)},
-        {"--procs", "N", "cores, 1..4096 (gen, record: default 8;\n"
-                         "replay: the trace's)",
+        {"--procs", "N", "gen: cores, 1..4096 (default 8)",
          number(o.procs, 1, 4096)},
         {"--tenants", "N", "gen: tenants, 1..4096 (default 4)",
          number(o.scen.tenants, 1, 4096)},
         {"--requests", "N", "gen: requests (default 512)",
          number(o.scen.requests, 1)},
-        {"--chunks", "N", "record: total chunks (default 1280);\n"
-                          "replay: overrides the trace's budget",
-         number(o.chunks, 1)},
-        {"--seed", "N", "gen, record: workload seed (0 = default)",
+        {"--seed", "N", "gen: workload seed (0 = default)",
          number(o.seed, 0)},
-        {"--protocol", "P", "record, replay: scalablebulk | tcc | seq |\n"
-                            "bulksc",
-         protocol(o.protocol)},
         {"--text", nullptr, "gen, convert: write the text form",
          set(o.text)},
         {"--binary", nullptr, "convert: write the binary form (default)",
          set(o.text, false)},
-        {"--csv", nullptr, "replay: per-tenant CSV, not the report",
-         set(o.csv)},
         {"--limit", "N", "cat: stop after N records (0 = all)",
          number(o.limit, 0)},
-        {"--faults", "PLAN", "replay: inject transport faults",
-         faultPlan(o.faults)},
     };
 }
 

@@ -116,16 +116,19 @@ const char* protocolFlag(ProtocolKind kind);
 void printApps();
 void printScenarios();
 
-/// @name Per-tenant report rows of a traced run: "all", then each tenant
+/** The sim report's per-tenant table: "all", then each tenant. */
+void printTenantTable(const RunResult& r);
+
+/// @name The one CSV schema of sbulk-sweep and sbulk-sim --csv
 /// @{
-/** Each row rendered with @p fmt over (tenant, commits, squashes, p50,
- *  p99, squash rate, commits per Mcycle): %s, 4 x %llu, 2 x %f. */
-std::vector<std::string> tenantRows(const RunResult& r, const char* fmt);
-/** The CSV tail ",tenant,commits,squashes,p50,p99,squashRate,tput". */
-inline constexpr const char* kTenantCsv =
-    ",%s,%llu,%llu,%llu,%llu,%.4f,%.4f";
-/** The sim/trace report table, with or without the "all" row. */
-void printTenantTable(const RunResult& r, bool with_all);
+/** The header line: the run columns, then the fault columns (@p faulted),
+ *  the per-tenant ones (@p traced) and the --figure-data ones. */
+std::string csvHeader(bool faulted, bool traced, bool figure_data);
+/** The rows of one run, each ending in '\n': one row, or for a trace or
+ *  scenario run one per tenant row ("all" first), each repeating the run
+ *  columns. @p cfg supplies the suite, protocol, procs and fault columns. */
+std::string csvRows(const RunConfig& cfg, const RunResult& r,
+                    bool figure_data);
 /// @}
 
 /** Options structs stay where they were built: their tables' binders (and
@@ -175,14 +178,9 @@ struct SweepOptions : Pinned
     /** Fields every run shares; totalChunks 0 = unset. */
     RunConfig base{.totalChunks = 0};
 
-    /** One cell of the matrix, in output order. */
-    struct Run
-    {
-        RunConfig cfg;
-        const char* suite;
-    };
-    /** The matrix, every run checked by RunConfig::validate(). */
-    Error resolve(std::vector<Run>& out) const;
+    /** The matrix in output order, every run checked by
+     *  RunConfig::validate(). */
+    Error resolve(std::vector<RunConfig>& out) const;
     bool
     traced() const
     {
@@ -210,24 +208,19 @@ struct CheckOptions : Pinned
 };
 Table checkFlags(CheckOptions& o);
 
-/** sbulk-trace; each subcommand uses the subset it documents. */
+/** sbulk-trace's file tools; each subcommand uses the subset it
+ *  documents. */
 struct TraceOptions : Pinned
 {
     bool help = false;
     std::string input;
     std::string output;
-    std::string app = "Radix";
-    /** 0 = unset (gen: 8, record: 8, replay: the trace's). */
+    /** gen: 0 = the scenario's default core count. */
     std::uint32_t procs = 0;
-    /** 0 = unset (record: 1280, replay: the trace's budget). */
-    std::uint64_t chunks = 0;
     std::uint64_t seed = 0;
     atrace::ScenarioParams scen{};
-    ProtocolKind protocol = ProtocolKind::ScalableBulk;
     bool text = false;
-    bool csv = false;
     std::uint64_t limit = 0;
-    fault::FaultPlan faults;
 };
 Table traceFlags(TraceOptions& o);
 

@@ -10,7 +10,10 @@
  *   sbulk-sim --app Canneal --procs 32 --protocol scalablebulk --csv
  *   sbulk-sim --list
  *   sbulk-sim --custom --shared-fraction 0.5 --hot-fraction 0.05
+ *   sbulk-sim --app Radix --procs 8 --record radix.sbt   # capture a trace
+ *   sbulk-sim --trace radix.sbt --faults "seed=3, drop=0.02"
  *
+ * --csv prints exactly the rows sbulk-sweep prints for the same run.
  * Every knob of SyntheticParams, ProtoConfig, and the machine geometry is
  * reachable; run with --help for the full set.
  */
@@ -96,9 +99,20 @@ printReport(const cli::SimOptions& opt, const RunResult& r)
         }
     }
 
+    if (opt.run.faults.enabled()) {
+        std::printf("\n-- faults --\n");
+        std::printf("injected         %llu\n",
+                    (unsigned long long)r.faultsInjected);
+        std::printf("retransmissions  %llu (%llu duplicates dropped)\n",
+                    (unsigned long long)r.retransmissions,
+                    (unsigned long long)r.dupsDropped);
+        std::printf("watchdog fires   %llu\n",
+                    (unsigned long long)r.watchdogFires);
+    }
+
     if (r.traced && !r.tenants.empty()) {
         std::printf("\n-- per-tenant serving metrics --\n");
-        cli::printTenantTable(r, /*with_all=*/false);
+        cli::printTenantTable(r);
     }
 
     if (opt.histogram) {
@@ -118,42 +132,6 @@ printReport(const cli::SimOptions& opt, const RunResult& r)
             std::printf("\n");
         }
     }
-}
-
-void
-printCsv(const RunResult& r)
-{
-    std::printf("app,protocol,procs,seed,makespan,commits,useful,cacheMiss,"
-                "commit,squash,latMean,dirs,writeDirs,bottleneck,queue,"
-                "failures,squashTrue,squashAlias,recalls,messages%s\n",
-                r.traced ? ",tenant,tenantCommits,tenantSquashes,"
-                           "tenantP50,tenantP99,tenantSquashRate,"
-                           "tenantTput"
-                         : "");
-    const double total = r.breakdown.total();
-    char base[512];
-    std::snprintf(base, sizeof(base),
-                  "%s,%s,%u,%llu,%llu,%llu,%.4f,%.4f,%.4f,%.4f,%.1f,%.2f,"
-                  "%.2f,%.2f,%.2f,%llu,%llu,%llu,%llu,%llu",
-                  r.app.c_str(), protocolName(r.protocol), r.procs,
-                  (unsigned long long)r.seed,
-                  (unsigned long long)r.makespan,
-                  (unsigned long long)r.commits, r.breakdown.useful / total,
-                  r.breakdown.cacheMiss / total, r.breakdown.commit / total,
-                  r.breakdown.squash / total, r.commitLatencyMean,
-                  r.dirsPerCommitMean, r.writeDirsPerCommitMean,
-                  r.bottleneckRatio, r.chunkQueueLength,
-                  (unsigned long long)r.commitFailures,
-                  (unsigned long long)r.squashesTrueConflict,
-                  (unsigned long long)r.squashesAliasing,
-                  (unsigned long long)r.commitRecalls,
-                  (unsigned long long)r.traffic.totalMessages());
-    if (!r.traced) {
-        std::printf("%s\n", base);
-        return;
-    }
-    for (const std::string& tenant : cli::tenantRows(r, cli::kTenantCsv))
-        std::printf("%s%s\n", base, tenant.c_str());
 }
 
 } // namespace
@@ -183,7 +161,11 @@ main(int argc, char** argv)
     if (opt.fullStats)
         stats.dump(std::cout);
     else if (opt.csv)
-        printCsv(r);
+        std::fputs((cli::csvHeader(opt.run.faults.enabled(), r.traced,
+                                   /*figure_data=*/false) +
+                    cli::csvRows(opt.run, r, /*figure_data=*/false))
+                       .c_str(),
+                   stdout);
     else
         printReport(opt, r);
     return 0;

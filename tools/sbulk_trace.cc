@@ -3,17 +3,15 @@
  * sbulk-trace: the access-trace toolbox (see WORKLOADS.md).
  *
  *   sbulk-trace gen kv-zipf --procs 8 --tenants 4 -o kv.sbt
- *   sbulk-trace record --app Radix --procs 8 --chunks 640 -o radix.sbt
- *   sbulk-trace replay kv.sbt --protocol scalablebulk [--csv]
  *   sbulk-trace cat kv.sbt [--limit N]        # text form to stdout
  *   sbulk-trace convert kv.sbt -o kv.txt --text
  *   sbulk-trace validate kv.sbt               # strict scan + summary
  *   sbulk-trace list                          # the scenario library
  *
- * `replay` runs the trace through the simulator exactly as `sbulk-sim
- * --trace` does (same engine), reporting overall and per-tenant serving
- * metrics; `record` captures a synthetic run so the pair round-trips:
- * record -> replay reproduces the run's statistics.
+ * These are the file tools only. Running a trace goes through the same
+ * tools as every other workload: `sbulk-sim --trace F` for one run's
+ * report, `sbulk-sweep --trace F` for CSV; `sbulk-sim --record F` captures
+ * a synthetic run, and replaying the capture reproduces its statistics.
  */
 
 #include <algorithm>
@@ -74,84 +72,6 @@ cmdGen(TraceOptions& opt)
     std::string err;
     if (!atrace::generateScenario(*spec, opt.scen, out, opt.text, &err))
         SBULK_FATAL("%s: %s", spec->name, err.c_str());
-    return 0;
-}
-
-int
-cmdRecord(TraceOptions& opt)
-{
-    if (opt.output.empty())
-        SBULK_FATAL("missing -o FILE (see --help)");
-    RunConfig cfg;
-    cfg.app = findApp(opt.app);
-    if (!cfg.app)
-        SBULK_FATAL("unknown app '%s'", opt.app.c_str());
-    cfg.procs = opt.procs != 0 ? opt.procs : 8;
-    cfg.totalChunks = opt.chunks != 0 ? opt.chunks : 1280;
-    cfg.protocol = opt.protocol;
-    cfg.seedOverride = opt.seed;
-    cfg.recordPath = opt.output;
-    cli::require(cfg.validate());
-    const RunResult r = runExperiment(cfg);
-    std::fprintf(stderr, "recorded %s x %u procs -> %s (%llu commits)\n",
-                 r.app.c_str(), r.procs, opt.output.c_str(),
-                 (unsigned long long)r.commits);
-    return 0;
-}
-
-int
-cmdReplay(TraceOptions& opt)
-{
-    RunConfig cfg;
-    cfg.tracePath = opt.input;
-    cfg.procs = opt.procs;
-    if (cfg.procs == 0) {
-        // The trace dictates the machine size unless --procs was given.
-        atrace::TraceHeader hdr;
-        cli::require(readTraceHeader(opt.input, hdr));
-        cfg.procs = hdr.numCores;
-    }
-    cfg.protocol = opt.protocol;
-    cfg.totalChunks = opt.chunks;
-    cfg.faults = opt.faults;
-    cli::require(cfg.validate());
-    const RunResult r = runExperiment(cfg);
-
-    if (opt.csv) {
-        std::printf("app,protocol,procs,seed,makespan,commits,squashes,"
-                    "tenant,tenantCommits,tenantSquashes,tenantP50,"
-                    "tenantP99,tenantSquashRate,tenantTput\n");
-        for (const std::string& tenant : cli::tenantRows(r, cli::kTenantCsv))
-            std::printf("%s,%s,%u,%llu,%llu,%llu,%llu%s\n", r.app.c_str(),
-                        protocolName(r.protocol), r.procs,
-                        (unsigned long long)r.seed,
-                        (unsigned long long)r.makespan,
-                        (unsigned long long)r.commits,
-                        (unsigned long long)r.chunksSquashed,
-                        tenant.c_str());
-        return 0;
-    }
-
-    std::printf("trace            %s\n", opt.input.c_str());
-    std::printf("protocol         %s\n", protocolName(r.protocol));
-    std::printf("processors       %u\n", r.procs);
-    std::printf("simulated time   %llu cycles\n",
-                (unsigned long long)r.makespan);
-    std::printf("chunks committed %llu (%llu squashed)\n",
-                (unsigned long long)r.commits,
-                (unsigned long long)r.chunksSquashed);
-    std::printf("commit latency   mean %.1f p90 %llu\n",
-                r.commitLatencyMean,
-                (unsigned long long)r.commitLatency.percentile(0.90));
-    if (r.faultsInjected != 0) {
-        std::printf("faults injected  %llu (%llu retransmissions, %llu "
-                    "watchdog fires)\n",
-                    (unsigned long long)r.faultsInjected,
-                    (unsigned long long)r.retransmissions,
-                    (unsigned long long)r.watchdogFires);
-    }
-    std::printf("\n");
-    cli::printTenantTable(r, /*with_all=*/true);
     return 0;
 }
 
@@ -237,12 +157,6 @@ const Command kCommands[] = {
      {"-o", "--output", "--procs", "--tenants", "--requests", "--seed",
       "--text"},
      cmdGen},
-    {"record", false,
-     {"-o", "--output", "--app", "--procs", "--chunks", "--seed",
-      "--protocol"},
-     cmdRecord},
-    {"replay", true, {"--protocol", "--procs", "--chunks", "--csv", "--faults"},
-     cmdReplay},
     {"cat", true, {"--limit"}, cmdCat},
     {"convert", true, {"-o", "--output", "--text", "--binary"}, cmdConvert},
     {"validate", true, {}, cmdValidate},
@@ -251,8 +165,6 @@ const Command kCommands[] = {
 const char* const kCommandHelp =
     "commands:\n"
     "  gen SCENARIO -o FILE        generate a serving scenario as a trace\n"
-    "  record -o FILE              capture a synthetic run as a trace\n"
-    "  replay FILE                 run a trace through the simulator\n"
     "  cat FILE                    print records as text\n"
     "  convert FILE -o OUT         re-encode a trace (--text | --binary)\n"
     "  validate FILE               strict end-to-end scan + summary\n"
