@@ -194,8 +194,8 @@ void
 TorusNetwork::route(Message* msg)
 {
     // Serialization: each link is busy for one cycle per flit.
-    const Tick ser =
-        std::max<Tick>(1, (msg->bytes + _cfg.flitBytes - 1) / _cfg.flitBytes);
+    const Tick ser = std::max<Tick>(
+        kMinSerCycles, (msg->bytes + _cfg.flitBytes - 1) / _cfg.flitBytes);
     const NodeId cur = msg->netHop;
     const Tick t = curQueue().now();
 

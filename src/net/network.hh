@@ -235,6 +235,8 @@ class Network
      * the three referents are owned. Serial mode (never calling this)
      * schedules everything on the single global queue; the choice lives
      * only in curQueue(), curTraffic() and scheduleTileEvent().
+     * Computes the plan's raw lookahead matrix (shardLookahead()), which
+     * every cross-shard schedule is then checked against.
      */
     void
     configureShards(const ShardPlan* plan, std::vector<EventQueue*> queues,
@@ -246,6 +248,15 @@ class Network
         _shardQs = std::move(queues);
         _shardChan = chan;
         _trafficShards.assign(plan ? plan->shards() : 0, TrafficStats{});
+        _shardLookahead =
+            plan ? lookaheadMatrix(*plan) : std::vector<Tick>{};
+    }
+
+    /** The raw lookahead matrix of the configured plan (empty in serial
+     *  mode): what the shard engine's windows are built on. */
+    const std::vector<Tick>& shardLookahead() const
+    {
+        return _shardLookahead;
     }
 
     /**
@@ -362,6 +373,15 @@ class Network
         if (dst_shard == src_shard) {
             q.injectKeyed(when, key, exec_tile, std::forward<F>(fn));
         } else {
+            // The engine's windows are only as safe as this bound.
+            SBULK_ASSERT(
+                delay >= _shardLookahead[std::size_t(src_shard) *
+                                             _shardPlan->shards() +
+                                         dst_shard],
+                "tile %u -> %u schedules %llu ticks out, under the "
+                "shard %u -> %u lookahead",
+                origin_tile, exec_tile, (unsigned long long)delay,
+                src_shard, dst_shard);
             _shardChan->push(
                 src_shard, dst_shard,
                 PendingEvent{when, key, exec_tile,
@@ -378,6 +398,8 @@ class Network
     std::vector<EventQueue*> _shardQs;
     ShardChannels* _shardChan = nullptr;
     std::vector<TrafficStats> _trafficShards;
+    /** Raw lookahead matrix [src shard * shards + dst shard]. */
+    std::vector<Tick> _shardLookahead;
     /// @}
 
   private:
@@ -479,17 +501,17 @@ class TorusNetwork : public Network
 
     /**
      * Distance-aware pairwise bound: hop routing schedules events only
-     * onto grid-adjacent tiles (each hop costs >= routerLatency +
-     * serialization + linkLatency), so hopCount x linkLatency is safe —
-     * adjacent tiles reproduce the single-link bound, and tile pairs
-     * further apart can never exchange a direct schedule at all, making
-     * the wider bound vacuous there yet exactly what region-min distance
-     * in lookaheadMatrix() needs.
+     * onto grid-adjacent tiles, and each hop costs at least minHopDelay(),
+     * so hopCount x minHopDelay() is safe — and tight: a one-flit message
+     * on an idle link reaches the adjacent tile in exactly minHopDelay().
+     * Tile pairs further apart can never exchange a direct schedule at
+     * all, making the wider bound vacuous there yet exactly what
+     * region-min distance in lookaheadMatrix() needs.
      */
     Tick
     pairLookahead(NodeId a, NodeId b) const override
     {
-        return Tick(hopCount(a, b)) * _cfg.linkLatency;
+        return Tick(hopCount(a, b)) * minHopDelay();
     }
 
   private:
@@ -501,6 +523,21 @@ class TorusNetwork : public Network
     NodeId nodeAt(std::uint32_t x, std::uint32_t y) const
     {
         return y * _width + x;
+    }
+
+    /** A message holds a link for at least one cycle (one flit), even
+     *  when it carries no payload. */
+    static constexpr Tick kMinSerCycles = 1;
+
+    /**
+     * Fewest cycles one hop of route() can take: the router pipeline,
+     * one flit's serialization and the wire. The lookahead bound and the
+     * hop delay both derive from it, so the two cannot drift apart.
+     */
+    Tick
+    minHopDelay() const
+    {
+        return _cfg.routerLatency + kMinSerCycles + _cfg.linkLatency;
     }
 
     /** Next hop from @p cur toward @p dst under X-then-Y routing. */

@@ -5,9 +5,59 @@
 namespace sbulk
 {
 
-// Only the policy path lives out of line: it is the schedule-exploration
-// checker's hook, not the simulator fast path (which is fully inline in the
-// header so event-loop drivers compile down to one tight loop).
+// Out of line: the keyed-bucket ordering (a sorted insert, a once-per-tick
+// sort) and the policy path, the schedule-exploration checker's hook. The
+// append and dispatch fast path stays inline in the header so event-loop
+// drivers compile down to one tight loop; pulling these in would push it
+// out of line.
+
+void
+EventQueue::insertSorted(Bucket& b, std::uint32_t idx)
+{
+    const std::uint64_t seq = _slots[idx].seq;
+    if (_slots[b.tail].seq < seq) {
+        _slots[b.tail].next = idx;
+        b.tail = idx;
+        return;
+    }
+    std::uint32_t prev = kNilLink;
+    std::uint32_t cur = b.head;
+    while (_slots[cur].seq < seq) {
+        prev = cur;
+        cur = _slots[cur].next;
+    }
+    _slots[idx].next = cur;
+    if (prev == kNilLink)
+        b.head = idx;
+    else
+        _slots[prev].next = idx;
+}
+
+void
+EventQueue::sortBucket(Bucket& b)
+{
+    _sortedTick = _scanTick;
+    // Sort (seq, slot) pairs, not slot indices: a comparator that reads
+    // _slots[i].seq chases a pointer per comparison. Keys are unique, so
+    // the order is total. A bucket already in order is only scanned.
+    _sortScratch.clear();
+    bool ordered = true;
+    for (std::uint32_t i = b.head; i != kNilLink; i = _slots[i].next) {
+        const std::uint64_t seq = _slots[i].seq;
+        if (!_sortScratch.empty() && _sortScratch.back().first > seq)
+            ordered = false;
+        _sortScratch.emplace_back(seq, i);
+    }
+    if (ordered)
+        return;
+    std::sort(_sortScratch.begin(), _sortScratch.end());
+    b.head = _sortScratch.front().second;
+    for (std::size_t k = 1; k < _sortScratch.size(); ++k)
+        _slots[_sortScratch[k - 1].second].next = _sortScratch[k].second;
+    b.tail = _sortScratch.back().second;
+    _slots[b.tail].next = kNilLink;
+}
+
 EventQueue::HeapEntry
 EventQueue::popPolicyChoice(Src src)
 {

@@ -27,13 +27,20 @@
  * Time ordering is a calendar ring with a heap overflow. Almost every event
  * in a simulation is scheduled a handful of ticks out (core ops, cache
  * latencies, network hops), so events whose tick falls within kRingTicks of
- * the scan cursor are linked into a per-tick bucket list kept in sequence
- * order: O(1) append in the common case, O(1) dequeue, no sifting. Only
- * far-future events (long backoffs, start skews, tick limits) overflow
- * into a binary heap of compact (tick, seq, slot) keys. Dispatch always
- * merges the ring's earliest bucket head with the heap top by (tick, seq),
- * so the run order is exactly the documented one regardless of which
- * structure held an event.
+ * the scan cursor are linked into a per-tick bucket list: O(1) append, O(1)
+ * dequeue, no sifting. Only far-future events (long backoffs, start skews,
+ * tick limits) overflow into a binary heap of compact (tick, seq, slot)
+ * keys. Dispatch always merges the ring's earliest bucket head with the
+ * heap top by (tick, seq), so the run order is exactly the documented one
+ * regardless of which structure held an event.
+ *
+ * A bucket is in sequence order whenever the scan dispatches from it.
+ * Serial sequence numbers only grow, so appending keeps every serial
+ * bucket sorted for free. Keyed buckets collect keys from every tile of a
+ * shard in any order: a keyed insert into a future tick just appends, and
+ * the scan sorts the bucket once when it reaches that tick (sortBucket).
+ * Only inserts at the tick already sorted (zero-delay schedules, channel
+ * injections at the scan tick) walk to their place (insertSorted).
  */
 
 #ifndef SBULK_SIM_EVENT_QUEUE_HH
@@ -110,8 +117,8 @@ class EventQueue
      * unique and — because each tile's counter is only ever advanced by
      * the shard that owns the tile — the (when, key) execution order is a
      * pure function of the simulated machine, identical for any shard
-     * count. Buckets are sorted by this token in both modes (see
-     * enqueueEntry); keyed inserts are the ones that can land mid-list.
+     * count. Buckets dispatch in this token's order in both modes; keyed
+     * ones are sorted once, when the scan reaches them (see enqueueEntry).
      *
      * @param tile_seq Per-tile key counters, shared by all shard queues
      *        (each entry is written only by the owning shard's thread).
@@ -341,9 +348,10 @@ class EventQueue
     };
 
     /**
-     * A calendar bucket: list of slots scheduled at one tick, sorted by
-     * ascending sequence number (enqueueEntry), so draining head-first is
-     * exactly the documented same-tick order.
+     * A calendar bucket: list of slots scheduled at one tick. Serial
+     * buckets are always in ascending sequence order; a keyed bucket is
+     * put in that order when the scan reaches its tick (see enqueueEntry),
+     * so draining head-first is exactly the documented same-tick order.
      */
     struct Bucket
     {
@@ -417,13 +425,13 @@ class EventQueue
      * differ by a multiple of kRingTicks, which that half-open window
      * cannot contain.
      *
-     * A bucket is therefore one tick's events, kept sorted by sequence
-     * number (the canonical key in keyed mode). Serial sequence numbers
-     * only grow and a policy re-queue refills a drained bucket in
-     * ascending order, so serial inserts always take the O(1) append; only
-     * keyed inserts, whose keys come from many tiles, walk the list.
-     * Buckets average a couple of entries, and sequence numbers are
-     * unique, so no equal-key tie exists.
+     * A bucket is therefore one tick's events. Every insert appends in
+     * O(1) except one into _sortedTick, the keyed bucket the scan has
+     * already sorted, which walks to its place out of line. Serial
+     * sequence numbers only grow and a policy re-queue refills a drained
+     * bucket in ascending order, so serial appends keep their buckets in
+     * order and _sortedTick never leaves kMaxTick; keyed appends are put
+     * in order by sortBucket when the scan reaches their tick.
      */
     void
     enqueueEntry(std::uint32_t idx, Tick when, std::uint64_t seq)
@@ -436,27 +444,25 @@ class EventQueue
             Bucket& b = _ring[when & (kRingTicks - 1)];
             if (b.tail == kNilLink) {
                 b.head = b.tail = idx;
-            } else if (_slots[b.tail].seq < seq) {
+            } else if (when != _sortedTick) {
                 _slots[b.tail].next = idx;
                 b.tail = idx;
             } else {
-                std::uint32_t prev = kNilLink;
-                std::uint32_t cur = b.head;
-                while (cur != kNilLink && _slots[cur].seq < seq) {
-                    prev = cur;
-                    cur = _slots[cur].next;
-                }
-                s.next = cur;
-                if (prev == kNilLink)
-                    b.head = idx;
-                else
-                    _slots[prev].next = idx;
+                insertSorted(b, idx);
             }
             ++_ringCount;
         } else {
             heapPush(HeapEntry{when, seq, idx});
         }
     }
+
+    /** Link @p idx into the sorted, non-empty bucket @p b at its sequence
+     *  position (keyed inserts at _sortedTick). */
+    void insertSorted(Bucket& b, std::uint32_t idx);
+
+    /** Put the keyed bucket at _scanTick in sequence order and make it
+     *  _sortedTick (peekSource, on first reaching the tick). */
+    void sortBucket(Bucket& b);
 
     /** Unlink and return the head slot of @p b (must be non-empty). */
     std::uint32_t
@@ -476,8 +482,12 @@ class EventQueue
      * the ring's first live bucket, but never past the heap top's tick:
      * the heap event runs first anyway, and keeping the cursor low lets
      * events its callback schedules still use the ring.
+     *
+     * Forced inline: the shard worker calls it from both headTick() and
+     * runUntil(), where GCC's size limits would otherwise emit it out of
+     * line, a call per dispatched event.
      */
-    Src
+    [[gnu::always_inline]] Src
     peekSource()
     {
         while (!_heap.empty() && _slots[_heap[0].slot].cancelled)
@@ -490,6 +500,8 @@ class EventQueue
                 ++_scanTick;
                 continue;
             }
+            if (_keyed && _scanTick != _sortedTick)
+                sortBucket(b);
             if (_slots[b.head].cancelled) {
                 freeSlot(ringPopHead(b));
                 continue;
@@ -618,6 +630,12 @@ class EventQueue
     /** Entries currently linked in the ring (cancelled ones included
      *  until they surface and are recycled). */
     std::size_t _ringCount = 0;
+    /** The one tick whose keyed bucket is known to be in sequence order
+     *  (the last one the scan sorted); kMaxTick until then, and always in
+     *  serial mode. */
+    Tick _sortedTick = kMaxTick;
+    /** Scratch for sortBucket: (sequence, slot) pairs of one bucket. */
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> _sortScratch;
     /**
      * Ring scan cursor: no ring entry's tick is below it, and every ring
      * entry's tick is within kRingTicks of it. Monotone except for the

@@ -8,8 +8,8 @@
  * synchronize with conservative lookahead windows, but the bound is
  * *pairwise*: no event a tile of shard A can schedule directly onto a tile
  * of shard B lands sooner than the network's minimum A->B delivery delay
- * (min region hop distance x link latency on the torus; the wire latency
- * on DirectNetwork). The engine closes that raw matrix over forwarding
+ * (min region hop distance x the fewest cycles one hop takes on the
+ * torus; the wire latency on DirectNetwork). The engine closes that raw matrix over forwarding
  * paths (Floyd-Warshall), with the cheapest feedback cycle through each
  * shard on the diagonal, and each shard runs to its own horizon `min over
  * shards i with pending events of (head[i] + D[i][s])` — including its own
@@ -343,6 +343,9 @@ class ShardEngine
     double wallSeconds() const { return _wallSec; }
     /** True when run() stopped because every core finished. */
     bool completed() const { return _completed; }
+    /** The path-closed lookahead matrix [src * shards + dst], feedback
+     *  cycles on the diagonal: what the window horizons add to heads. */
+    const std::vector<Tick>& lookahead() const { return _lookahead; }
 
   private:
     void worker(std::uint32_t s, Tick tick_limit);
@@ -350,7 +353,7 @@ class ShardEngine
     const ShardPlan& _plan;
     std::vector<EventQueue*> _queues;
     ShardChannels& _chan;
-    /** Pairwise lookahead matrix [src * shards + dst]. */
+    /** Path-closed pairwise lookahead matrix [src * shards + dst]. */
     const std::vector<Tick> _lookahead;
     const std::uint32_t _totalCores;
     std::function<std::uint32_t(std::uint32_t)> _doneCores;

@@ -258,6 +258,7 @@ runExperiment(const RunConfig& cfg, StatSet* stats)
         sys.recordStats(*stats);
     r.shardStats = sys.shardStats();
     r.shardWallSec = sys.shardWallSeconds();
+    r.shardLookaheadMin = sys.shardLookaheadMin();
 
     if (plumbing.recorder) {
         std::string err;

@@ -149,6 +149,8 @@ struct RunResult
     std::vector<ShardEngine::ShardStats> shardStats;
     /** Wall-clock seconds inside the sharded window loop. */
     double shardWallSec = 0;
+    /** Smallest path-closed lookahead entry of the sharded run. */
+    Tick shardLookaheadMin = 0;
     /// @}
 
     /// @name Per-tenant serving metrics (trace/scenario runs)

@@ -1,5 +1,7 @@
 #include "system/system.hh"
 
+#include <algorithm>
+
 #include "proto/bulksc/bulksc.hh"
 #include "proto/scalablebulk/dir_ctrl.hh"
 #include "proto/seq/seq.hh"
@@ -273,12 +275,14 @@ System::runSharded(Tick limit)
         return done;
     };
     ShardEngine engine(*_plan, std::move(qs), *_shardChan,
-                       _net->lookaheadMatrix(*_plan), _cfg.numProcs,
+                       _net->shardLookahead(), _cfg.numProcs,
                        done_cores);
     const Tick end = engine.run(limit);
 
     _engineStats = engine.stats();
     _engineWallSec = engine.wallSeconds();
+    _engineLookaheadMin = *std::min_element(engine.lookahead().begin(),
+                                            engine.lookahead().end());
 
     // Fold the per-shard statistics into the aggregate views the serial
     // accessors expose: traffic counters merge additively, metric

@@ -144,6 +144,9 @@ class System
     }
     /** Wall-clock seconds of the last sharded run()'s window loop. */
     double shardWallSeconds() const { return _engineWallSec; }
+    /** Smallest entry of the last sharded run()'s path-closed lookahead
+     *  matrix: the narrowest window step any shard can be held to. */
+    Tick shardLookaheadMin() const { return _engineLookaheadMin; }
     /// @}
 
     /** Aggregate execution-time breakdown over all cores (Figures 7/8). */
@@ -202,6 +205,7 @@ class System
     std::vector<std::unique_ptr<CommitMetrics>> _shardMetrics;
     std::vector<ShardEngine::ShardStats> _engineStats;
     double _engineWallSec = 0;
+    Tick _engineLookaheadMin = 0;
     bool _shardsRan = false;
     /// @}
 

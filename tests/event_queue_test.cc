@@ -8,10 +8,13 @@
 
 #include <cstdint>
 #include <functional>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "check/scheduler.hh"
 #include "sim/event_queue.hh"
+#include "sim/random.hh"
 
 namespace sbulk
 {
@@ -310,6 +313,105 @@ TEST(EventQueue, KeyedScheduleStampsKeysFromExecTile)
               (std::vector<std::uint64_t>{keyOf(1, 0), keyOf(2, 0),
                                           keyOf(2, 1)}));
     EXPECT_EQ(tile_seq, (std::vector<std::uint64_t>{0, 1, 2, 0}));
+}
+
+// Keyed buckets take O(1) appends in any key order and are sorted once,
+// when the scan reaches their tick; only inserts into that sorted tick walk
+// to their place. Drive a keyed queue the way a shard does — windows of
+// runUntil with channel injections at the head tick between them — and
+// check every dispatch against a sorted (when, key) reference. Callbacks
+// add out-of-order future events from many tiles, zero-delay same-tick
+// events, far events that tie on tick with later ring inserts, and cancel
+// pending events while their buckets are still unsorted.
+TEST(EventQueue, KeyedRandomScheduleMatchesSortedReference)
+{
+    constexpr std::uint32_t kTiles = 8;
+    constexpr std::uint64_t kEvents = 40'000;
+    std::vector<std::uint64_t> tile_seq(kTiles, 0);
+    EventQueue eq;
+    eq.enableKeyedOrder(&tile_seq);
+    Rng rng(7);
+    std::set<std::pair<Tick, std::uint64_t>> pending;
+    /** Events made with schedule(), the ones that can be cancelled. */
+    struct Scheduled
+    {
+        Tick when;
+        std::uint64_t key;
+        EventQueue::EventHandle handle;
+    };
+    std::vector<Scheduled> scheduled;
+    std::uint64_t dispatched = 0;
+    std::uint64_t cancelled = 0;
+    std::function<void()> body;
+
+    auto delay = [&]() -> Tick {
+        switch (rng.below(4)) {
+          case 0: return 0;
+          case 1: return rng.between(1, 8);
+          case 2: return rng.between(1, 80);
+          default: return rng.between(1000, 1100); // heap, then ring ties
+        }
+    };
+    auto inject = [&](Tick when) {
+        const std::uint32_t tile = std::uint32_t(rng.below(kTiles));
+        const std::uint64_t key = eq.allocKey(tile);
+        eq.injectKeyed(when, key, tile, body);
+        pending.emplace(when, key);
+    };
+    auto act = [&] {
+        const Tick when = eq.now() + delay();
+        switch (rng.below(3)) {
+          case 0: { // scheduled from the running (or a chosen) tile
+            const std::uint32_t tile = eq.execTile();
+            const std::uint64_t key = keyOf(tile, tile_seq[tile]);
+            scheduled.push_back({when, key, eq.schedule(when, body)});
+            pending.emplace(when, key);
+            break;
+          }
+          case 1:
+            inject(when);
+            break;
+          default: { // cancel a random earlier schedule if still pending
+            if (scheduled.empty())
+                break;
+            const Scheduled& e = scheduled[rng.below(scheduled.size())];
+            if (pending.erase({e.when, e.key})) {
+                eq.cancel(e.handle);
+                ++cancelled;
+            }
+            break;
+          }
+        }
+    };
+    body = [&] {
+        ASSERT_FALSE(pending.empty());
+        EXPECT_EQ(*pending.begin(), std::make_pair(eq.now(), eq.currentKey()))
+            << "dispatch " << dispatched;
+        pending.erase(pending.begin());
+        ++dispatched;
+        if (dispatched < kEvents) {
+            for (std::uint64_t n = rng.below(3); n > 0; --n)
+                act();
+        }
+    };
+
+    while (!eq.empty() || dispatched < kEvents) {
+        // Window boundary: headTick() sorts the head bucket; channel
+        // injections then land both at that (sorted) tick and beyond.
+        const Tick head = eq.empty() ? eq.now() : eq.headTick();
+        if (dispatched < kEvents) {
+            for (std::uint64_t n = rng.below(4); n > 0; --n)
+                inject(head + (rng.chance(0.5) ? 0 : delay()));
+            eq.setExecTile(std::uint32_t(rng.below(kTiles)));
+            act();
+        }
+        eq.runUntil(head + rng.between(1, 12));
+        if (::testing::Test::HasFailure())
+            return;
+    }
+    EXPECT_TRUE(pending.empty());
+    EXPECT_GE(dispatched, kEvents);
+    EXPECT_GT(cancelled, 0u);
 }
 
 TEST(EventQueue, DeterministicAcrossRuns)

@@ -10,6 +10,7 @@
 
 #include "net/network.hh"
 #include "sim/event_queue.hh"
+#include "sim/shard.hh"
 
 namespace sbulk
 {
@@ -179,6 +180,53 @@ TEST(TorusNetwork, UncontendedPathsRunInParallel)
     net.send(makeMsg(8, 15)); // different row entirely
     eq.run();
     EXPECT_EQ(arrivals[0], arrivals[1]); // same distance, no interference
+}
+
+// The pairwise lookahead is hop count x the fewest cycles one hop can take
+// (router pipeline + one flit + wire): 9 cycles with Table 2's 7-cycle
+// links, and it follows the configured latencies.
+TEST(TorusNetwork, LookaheadIsHopsTimesMinimumHopDelay)
+{
+    EventQueue eq;
+    TorusNetwork net(eq, 256); // 16x16
+    EXPECT_EQ(net.lookaheadMatrix(ShardPlan(256, 2)),
+              (std::vector<Tick>{0, 9, 9, 0}));
+    // Four bands of four rows: bands 0 and 2 are five rows apart either
+    // way round the torus; band 3 wraps back onto band 0.
+    const std::vector<Tick> four = net.lookaheadMatrix(ShardPlan(256, 4));
+    EXPECT_EQ(four[0 * 4 + 1], 9u);
+    EXPECT_EQ(four[0 * 4 + 2], 5u * 9);
+    EXPECT_EQ(four[0 * 4 + 3], 9u);
+
+    TorusConfig cfg;
+    cfg.linkLatency = 3;
+    cfg.routerLatency = 2;
+    TorusNetwork custom(eq, 256, cfg);
+    EXPECT_EQ(custom.lookaheadMatrix(ShardPlan(256, 2)),
+              (std::vector<Tick>{0, 6, 6, 0}));
+}
+
+// The bound is tight: a one-flit message to an adjacent tile on idle links
+// arrives exactly one lookahead after it is sent.
+TEST(TorusNetwork, OneFlitHopArrivesExactlyAtTheLookahead)
+{
+    for (Tick link : {Tick(7), Tick(3)}) {
+        EventQueue eq;
+        TorusConfig cfg;
+        cfg.linkLatency = link;
+        TorusNetwork net(eq, 256, cfg);
+        Tick arrived = 0;
+        net.registerHandler(1, Port::Dir,
+                            [&](MessagePtr) { arrived = eq.now(); });
+        eq.schedule(100, [&] { net.send(makeMsg(0, 1)); });
+        eq.run();
+        // Tiles 0 and 1 alone in shards 0 and 1; the rest in shard 2.
+        std::vector<std::uint32_t> map(256, 2);
+        map[1] = 1;
+        map[0] = 0;
+        EXPECT_EQ(arrived - 100, net.lookaheadMatrix(ShardPlan(map, 3))[1]);
+        EXPECT_EQ(arrived - 100, cfg.routerLatency + 1 + link);
+    }
 }
 
 TEST(TrafficStats, CountsPerClass)

@@ -17,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "net/network.hh"
+#include "sim/shard.hh"
 #include "system/system.hh"
 #include "workload/synthetic.hh"
 
@@ -248,6 +250,55 @@ TEST(ShardKernelDeath, DeliveryJitterIncompatibleWithShards)
                 [](const Message&) { return Tick(0); });
         },
         "jitter requires a serial network");
+}
+
+/** A direct network that claims one cycle more lookahead than its wire
+ *  delivers: every cross-shard send undercuts the bound it advertises. */
+class OverstatedNetwork : public DirectNetwork
+{
+  public:
+    using DirectNetwork::DirectNetwork;
+
+  protected:
+    Tick
+    pairLookahead(NodeId a, NodeId b) const override
+    {
+        return DirectNetwork::pairLookahead(a, b) + 1;
+    }
+};
+
+/** Run two shards of 4 tiles on @p net: tile 0 sends one message to tile
+ *  3, across the shard boundary. */
+void
+sendAcrossShards(Network& net)
+{
+    std::vector<std::uint64_t> tile_seq(4, 0);
+    EventQueue q0, q1;
+    q0.enableKeyedOrder(&tile_seq);
+    q1.enableKeyedOrder(&tile_seq);
+    ShardPlan plan(4, 2);
+    ShardChannels chan(2);
+    net.configureShards(&plan, {&q0, &q1}, &chan);
+    for (NodeId n = 0; n < 4; ++n)
+        net.registerHandler(n, Port::Dir, [](MessagePtr) {});
+    q0.setExecTile(0);
+    q0.schedule(0, [&] {
+        net.send(std::make_unique<Message>(0, 3, Port::Dir,
+                                           MsgClass::SmallCMessage, 0, 8));
+    });
+    ShardEngine engine(plan, {&q0, &q1}, chan, net.shardLookahead(),
+                       /*total_cores=*/1, [](std::uint32_t) { return 0u; });
+    engine.run(1000);
+}
+
+TEST(ShardKernelDeath, CrossShardSendUnderTheLookaheadPanics)
+{
+    // A window built on an overstated bound could run an event before a
+    // message that precedes it; the send itself must catch that.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EventQueue serial;
+    OverstatedNetwork net(serial, 4, 10);
+    EXPECT_DEATH(sendAcrossShards(net), "under the shard 0 -> 1 lookahead");
 }
 
 } // namespace

@@ -97,6 +97,14 @@ printReport(const cli::SimOptions& opt, const RunResult& r)
                             ? 100.0 * st.stallSec / r.shardWallSec
                             : 0.0);
         }
+        // Every shard steps through the same windows.
+        const std::uint64_t windows = r.shardStats[0].windows;
+        std::printf("min lookahead    %llu cycles (path-closed)\n",
+                    (unsigned long long)r.shardLookaheadMin);
+        std::printf("windows/kcycle   %.2f\n",
+                    r.makespan ? 1000.0 * double(windows) /
+                                     double(r.makespan)
+                               : 0.0);
     }
 
     if (opt.run.faults.enabled()) {
