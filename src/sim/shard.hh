@@ -9,13 +9,14 @@
  * *pairwise*: no event a tile of shard A can schedule directly onto a tile
  * of shard B lands sooner than the network's minimum A->B delivery delay
  * (min region hop distance x the fewest cycles one hop takes on the
- * torus; the wire latency on DirectNetwork). The engine closes that raw matrix over forwarding
- * paths (Floyd-Warshall), with the cheapest feedback cycle through each
- * shard on the diagonal, and each shard runs to its own horizon `min over
- * shards i with pending events of (head[i] + D[i][s])` — including its own
- * self term, which stops a wide window from outrunning replies to its own
- * sends. Far-apart shards therefore synchronize over much wider windows
- * than one global `min_head + link latency` boundary would allow.
+ * torus; the wire latency on DirectNetwork). The engine closes that raw
+ * matrix over forwarding paths (Floyd-Warshall), with the cheapest
+ * feedback cycle through each shard on the diagonal, and each shard runs
+ * to its own horizon `min over shards i with pending events of (head[i] +
+ * D[i][s])` — including its own self term, which stops a wide window from
+ * outrunning replies to its own sends. Far-apart shards therefore
+ * synchronize over much wider windows than one global `min_head + link
+ * latency` boundary would allow.
  * Cross-shard events travel through per-(src,dst) SPSC ring channels that
  * the destination drains at the next window boundary.
  *
@@ -24,7 +25,7 @@
  * machine, so the executed event sequence per tile and all end-of-run
  * statistics are identical for every shard count >= 2 and for every
  * tile->shard map. (`--shards 1` never constructs any of this: it runs one
- * global queue in sequence-number order, sharing the bucket insert, the
+ * global queue in sequence-number order, sharing the bucket append, the
  * network's transmit/route code and the gauge code with sharded runs.)
  */
 
