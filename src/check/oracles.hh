@@ -1,6 +1,7 @@
 /**
  * @file
- * Protocol invariant oracles for the model checker (see CHECKING.md).
+ * Protocol invariant oracles for the model checker and the test suite
+ * (see CHECKING.md).
  *
  * OracleSuite is a ProtocolObserver that watches every protocol event of a
  * run and accumulates Violations instead of asserting, so a seed sweep can
@@ -8,8 +9,12 @@
  *
  *  - **Commit serializability** (paper Section 3.1): a committed chunk
  *    must not have read a line that another processor's commit overwrote
- *    between the read and this chunk's commit — the same version-vector
- *    argument as ConsistencyChecker, at the observer layer.
+ *    between the read and this chunk's commit. Every line carries a
+ *    version that bumps when a directory makes a committed write to it
+ *    visible; a chunk records the version of each line it reads and, at
+ *    retirement, every read line outside its own write set must be
+ *    unchanged, or changed only by its own processor or by commits the
+ *    protocol serialized after it.
  *  - **Exactly one winner** (Section 3.2.3, "at least one of a set of
  *    colliding groups forms"): collision losses form loser->winner edges;
  *    a cycle among attempts that never formed means every group in the

@@ -37,8 +37,9 @@ checkWorkload(std::uint64_t seed)
 }
 
 /**
- * Build the system, attach @p sched + @p suite, and drive the event queue
- * manually to completion / deadlock / tick budget.
+ * Build the system, attach @p sched, the oracles (plus the liveness monitor
+ * under faults and the trace printer under --debug-trace), and drive the
+ * event queue manually to completion / deadlock / tick budget.
  */
 template <typename Scheduler>
 CheckResult
@@ -54,16 +55,16 @@ drive(const CheckConfig& cfg, Scheduler& make_scheduler)
 
     OracleSuite suite;
     fault::LivenessMonitor monitor;
+    TracePrinter printer(cfg.debugTrace);
     ObserverChain observers{&suite};
     const bool faulted = cfg.faults.enabled();
     if (faulted) {
         observers.add(&monitor);
         fault::FaultTransport::armRecovery(cfg.faults, sys_cfg.proto);
     }
-    // Without faults the suite is attached directly — identical plumbing
-    // to the pre-fault checker, so unfaulted traces stay byte-identical.
-    sys_cfg.observer =
-        faulted ? static_cast<ProtocolObserver*>(&observers) : &suite;
+    if (cfg.debugTrace)
+        observers.add(&printer);
+    sys_cfg.observer = &observers;
 
     const SyntheticParams params = checkWorkload(cfg.seed);
     std::vector<std::unique_ptr<ThreadStream>> streams;
@@ -76,6 +77,7 @@ drive(const CheckConfig& cfg, Scheduler& make_scheduler)
     System sys(sys_cfg, std::move(streams));
     suite.setClock(&sys.eventQueue());
     monitor.setClock(&sys.eventQueue());
+    printer.attach(sys.network());
 
     auto sched = make_scheduler(sys.eventQueue());
     sys.eventQueue().setSchedulePolicy(&sched);

@@ -22,6 +22,7 @@
 #include "check/oracles.hh"
 #include "check/scheduler.hh"
 #include "fault/fault_plan.hh"
+#include "proto/trace_printer.hh"
 #include "system/system.hh"
 
 namespace sbulk
@@ -54,6 +55,9 @@ struct CheckConfig
      * (seed, schedule trace, plan).
      */
     fault::FaultPlan faults{};
+    /** Debug-trace categories printed to stderr, chained after the
+     *  oracles (0 = none). */
+    TracePrinter::Mask debugTrace = 0;
 };
 
 /** One schedule's outcome. */

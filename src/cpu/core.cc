@@ -1,7 +1,5 @@
 #include "cpu/core.hh"
 
-#include "sim/trace.hh"
-
 namespace sbulk
 {
 
@@ -160,8 +158,6 @@ Core::executeOp()
     // callback: its captures exceed std::function's inline buffer, so
     // constructing it unconditionally would heap-allocate on every load.
     if (_caches.loadHit(op.addr)) {
-        if (_checker)
-            _checker->noteRead(exec->tag(), line);
         if (_observer)
             _observer->onChunkRead(_id, exec->tag(), line);
         scheduleNextOp(work);
@@ -178,8 +174,6 @@ Core::executeOp()
             SBULK_ASSERT(chunk, "miss completion with no executing chunk");
             // The value observed is the one at *data arrival*: a commit
             // landing during the miss is ordered before this read.
-            if (_checker)
-                _checker->noteRead(chunk->tag(), line);
             if (_observer)
                 _observer->onChunkRead(_id, chunk->tag(), line);
             const Tick elapsed = _eq.now() - issued;
@@ -241,8 +235,6 @@ Core::chunkCommitted(ChunkTag tag)
     front->setState(ChunkState::Committed);
     front->committedAt = _eq.now();
     _caches.commitSlot(front->slot());
-    if (_checker)
-        _checker->commitChunk(tag, front->writeLines(), _eq.now());
     if (_observer)
         _observer->onChunkCommitted(_id, tag, front->writeLines(), _eq.now());
 
@@ -296,10 +288,8 @@ Core::applyBulkInv(const Signature& w, const std::vector<Addr>& lines,
             outcome.squashedCommitting =
                 chunk.state() == ChunkState::Committing;
             outcome.committingTag = chunk.tag();
-            const bool true_conflict = chunk.trulyConflictsWith(lines);
-            squashFrom(i, true_conflict, SquashReason::Conflict, committer,
-                       &w, &lines);
-            outcome.wasTrueConflict = true_conflict;
+            outcome.wasTrueConflict = chunk.trulyConflictsWith(lines);
+            squashFrom(i, SquashReason::Conflict, committer, &w, &lines);
             break;
         }
     }
@@ -327,7 +317,7 @@ Core::applyLineInv(const std::vector<Addr>& lines, ChunkTag committer,
                 chunk.state() == ChunkState::Committing;
             outcome.committingTag = chunk.tag();
             outcome.wasTrueConflict = true;
-            squashFrom(i, true, SquashReason::Conflict, committer,
+            squashFrom(i, SquashReason::Conflict, committer,
                        /*commit_w=*/nullptr, &lines);
             break;
         }
@@ -340,7 +330,7 @@ Core::chunkMustSquash(ChunkTag tag)
 {
     for (std::size_t i = 0; i < _chunks.size(); ++i) {
         if (_chunks[i]->tag() == tag) {
-            squashFrom(i, true, SquashReason::ProtocolKill);
+            squashFrom(i, SquashReason::ProtocolKill);
             return;
         }
     }
@@ -348,15 +338,10 @@ Core::chunkMustSquash(ChunkTag tag)
 }
 
 void
-Core::squashFrom(std::size_t first_idx, bool true_conflict,
-                 SquashReason why, const ChunkTag& committer,
-                 const Signature* commit_w,
+Core::squashFrom(std::size_t first_idx, SquashReason why,
+                 const ChunkTag& committer, const Signature* commit_w,
                  const std::vector<Addr>* commit_lines)
 {
-    SBULK_TRACE(trace::Cat::Squash, _eq.now(),
-                "core %u squashes %zu chunk(s) from slot %zu (%s conflict)",
-                _id, _chunks.size() - first_idx, first_idx,
-                true_conflict ? "true" : "aliased");
     ++_epoch; // kill in-flight execution callbacks
 
     for (std::size_t i = first_idx; i < _chunks.size(); ++i) {
@@ -376,8 +361,6 @@ Core::squashFrom(std::size_t first_idx, bool true_conflict,
         chunk.usefulCycles = 0;
         chunk.missStallCycles = 0;
         _caches.squashSlot(chunk.slot(), chunk.writeLines());
-        if (_checker)
-            _checker->abandonChunk(chunk.tag());
         chunk.resetForReplay();
         chunk.rename(ChunkTag{_id, _nextSeq++});
         chunk.commitRequested = 0;

@@ -20,7 +20,6 @@
 
 #include "chunk/chunk.hh"
 #include "mem/hierarchy.hh"
-#include "system/consistency.hh"
 #include "proto/commit_protocol.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
@@ -59,9 +58,7 @@ class Core : public CoreHooks
     void setProtocol(ProcProtocol* proto) { _proto = proto; }
     /** Wire the instruction stream (must precede start()). */
     void setStream(ThreadStream* stream) { _stream = stream; }
-    /** Attach the (optional) atomicity oracle. */
-    void setChecker(ConsistencyChecker* checker) { _checker = checker; }
-    /** Attach the (optional) correctness-tooling observer (src/check/). */
+    /** Attach the (optional) protocol-event observer. */
     void setObserver(ProtocolObserver* observer) { _observer = observer; }
 
     /** Begin execution at the current tick. */
@@ -141,8 +138,8 @@ class Core : public CoreHooks
      * @p why / @p committer / @p commit_w / @p commit_lines describe the
      * triggering event for the observer (nulls outside Conflict squashes).
      */
-    void squashFrom(std::size_t first_idx, bool true_conflict,
-                    SquashReason why, const ChunkTag& committer = ChunkTag{},
+    void squashFrom(std::size_t first_idx, SquashReason why,
+                    const ChunkTag& committer = ChunkTag{},
                     const Signature* commit_w = nullptr,
                     const std::vector<Addr>* commit_lines = nullptr);
     /** Core went idle waiting for a commit; note when it started. */
@@ -156,7 +153,6 @@ class Core : public CoreHooks
     CoreConfig _cfg;
     ProcProtocol* _proto = nullptr;
     ThreadStream* _stream = nullptr;
-    ConsistencyChecker* _checker = nullptr;
     ProtocolObserver* _observer = nullptr;
 
     /** In-flight chunks, oldest first. Size <= 2. */

@@ -469,10 +469,13 @@ enum class SquashReason : std::uint8_t
 };
 
 /**
- * Observer of protocol-level events, for correctness tooling.
+ * Observer of protocol-level events: the one channel through which a run
+ * is watched.
  *
- * The schedule-exploration checker (src/check/) registers one observer per
- * System and derives its invariant oracles from these callbacks. Hooks fire
+ * The invariant oracles (src/check/), the fault layer's liveness monitor
+ * and the --debug-trace printer (proto/trace_printer.hh) all derive what
+ * they report from these callbacks; ObserverChain attaches several to the
+ * one SystemConfig::observer slot. Hooks fire
  * synchronously from the core/protocol code; observers must not mutate
  * simulator state. Every hook has an empty default so observers implement
  * only what they need; a null observer costs one pointer test per event.
@@ -515,6 +518,15 @@ class ProtocolObserver
     /** The processor consumed a commit failure for @p id (will retry). */
     virtual void
     onCommitFailure(NodeId proc, const CommitId& id)
+    {
+        (void)proc; (void)id;
+    }
+    /**
+     * The commit watchdog found @p id still without an outcome and kicked
+     * the transport to retransmit (fault-recovery runs only).
+     */
+    virtual void
+    onWatchdogFired(NodeId proc, const CommitId& id)
     {
         (void)proc; (void)id;
     }
@@ -592,7 +604,8 @@ class ProtocolObserver
 
 /**
  * Fan-out of one observer slot to several observers (the checker attaches
- * its invariant oracles and the fault layer's liveness monitor together).
+ * its invariant oracles, the fault layer's liveness monitor and the trace
+ * printer together).
  * Hooks forward in add() order; entries are not owned.
  */
 class ObserverChain : public ProtocolObserver
@@ -636,6 +649,12 @@ class ObserverChain : public ProtocolObserver
     {
         for (auto* o : _list)
             o->onCommitFailure(proc, id);
+    }
+    void
+    onWatchdogFired(NodeId proc, const CommitId& id) override
+    {
+        for (auto* o : _list)
+            o->onWatchdogFired(proc, id);
     }
     void
     onCommitAborted(NodeId proc, const CommitId& id) override
@@ -750,7 +769,7 @@ struct ProtoContext
     Network& net;
     CommitMetrics& metrics;
     ProtoConfig cfg;
-    /** Correctness-tooling observer (null outside checker runs). */
+    /** Protocol-event observer (null for plain simulation runs). */
     ProtocolObserver* observer = nullptr;
 };
 

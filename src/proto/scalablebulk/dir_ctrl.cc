@@ -4,8 +4,6 @@
 #include <bit>
 #include <utility>
 
-#include "sim/trace.hh"
-
 namespace sbulk
 {
 namespace sb
@@ -230,13 +228,6 @@ SbDirCtrl::tryAdmit(CstEntry& entry)
                 continue;
             if (!chunksCompatible(entry.rSig, entry.wSig, other.rSig,
                                   other.wSig)) {
-                SBULK_TRACE(trace::Cat::Group, _ctx.eq.now(),
-                            "dir %u is the Collision module: (%u,%llu) loses "
-                            "to (%u,%llu)",
-                            _self, entry.id.tag.proc,
-                            (unsigned long long)entry.id.tag.seq,
-                            other.id.tag.proc,
-                            (unsigned long long)other.id.tag.seq);
                 // failGroup() deallocates its entry: copy the ids first.
                 const CommitId winner = other.id;
                 const CommitId loser = entry.id;
@@ -350,10 +341,6 @@ SbDirCtrl::onGFailure(MessagePtr mp)
 void
 SbDirCtrl::confirmAsLeader(CstEntry& entry)
 {
-    SBULK_TRACE(trace::Cat::Group, _ctx.eq.now(),
-                "dir %u formed group for (%u,%llu): %zu members", _self,
-                entry.id.tag.proc, (unsigned long long)entry.id.tag.seq,
-                entry.order.size());
     _ctx.metrics.addForming(-1);
     _ctx.metrics.addCommitting(1);
     _ctx.metrics.sampleGroupFormedEvent();

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/trace.hh"
-
 namespace sbulk
 {
 namespace sb
@@ -68,12 +66,6 @@ SbProcCtrl::sendRequest()
     const std::vector<Addr> all_writes = chunk.writeLines();
     if (_ctx.observer)
         _ctx.observer->onCommitRequested(_self, _current, chunk);
-    SBULK_TRACE(trace::Cat::Commit, _ctx.eq.now(),
-                "proc %u requests commit of (%u,%llu) attempt %u over %zu "
-                "dirs",
-                _self, _current.tag.proc,
-                (unsigned long long)_current.tag.seq, _current.attempt,
-                order.size());
 
     for (NodeId member : order) {
         std::vector<Addr> writes_here;
@@ -127,11 +119,6 @@ SbProcCtrl::onCommitSuccess(MessagePtr mp)
     _awaitingOutcome = false;
     if (_ctx.observer)
         _ctx.observer->onCommitSuccess(_self, msg.id);
-    SBULK_TRACE(trace::Cat::Commit, _ctx.eq.now(),
-                "proc %u commit (%u,%llu) SUCCESS after %llu cycles", _self,
-                _current.tag.proc, (unsigned long long)_current.tag.seq,
-                (unsigned long long)(_ctx.eq.now() -
-                                     _chunk->commitRequested));
     Chunk* chunk = _chunk;
     _chunk = nullptr;
     _ctx.metrics.recordCommit(*chunk, _ctx.eq.now());
@@ -152,10 +139,6 @@ SbProcCtrl::onCommitFailure(MessagePtr mp)
     _awaitingOutcome = false;
     if (_ctx.observer)
         _ctx.observer->onCommitFailure(_self, msg.id);
-    SBULK_TRACE(trace::Cat::Commit, _ctx.eq.now(),
-                "proc %u commit (%u,%llu) FAILED (attempt %u), backing off",
-                _self, _current.tag.proc,
-                (unsigned long long)_current.tag.seq, _current.attempt);
     _ctx.metrics.commitFailures.inc();
     _ctx.metrics.commitRetries.inc();
     const CommitId failed = _current;
@@ -206,11 +189,8 @@ SbProcCtrl::armWatchdog()
         if (!_chunk || !_awaitingOutcome || _current != guarded)
             return; // the attempt resolved; the watchdog dies with it
         _ctx.metrics.watchdogFires.inc();
-        SBULK_TRACE(trace::Cat::Commit, _ctx.eq.now(),
-                    "proc %u watchdog: commit (%u,%llu) attempt %u has no "
-                    "outcome, kicking transport",
-                    _self, guarded.tag.proc,
-                    (unsigned long long)guarded.tag.seq, guarded.attempt);
+        if (_ctx.observer)
+            _ctx.observer->onWatchdogFired(_self, guarded);
         // Protocol-level re-request would spawn zombie group state at the
         // directories; instead nudge the recovery transport to retransmit
         // anything of ours still unacked (same sequence numbers, so the
@@ -258,11 +238,6 @@ SbProcCtrl::onBulkInv(MessagePtr msg)
         outcome.committingTag == _current.tag) {
         // Our optimistically-initiated commit is dead: squash locally and
         // piggy-back a commit recall on the ack (Figure 4(d)).
-        SBULK_TRACE(trace::Cat::Inv, _ctx.eq.now(),
-                    "proc %u squashed while committing (%u,%llu): sending "
-                    "commit recall",
-                    _self, _current.tag.proc,
-                    (unsigned long long)_current.tag.seq);
         recall.valid = true;
         recall.id = _current;
         recall.gVec = _currentGVec;

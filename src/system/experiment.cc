@@ -89,10 +89,11 @@ buildStreams(const RunConfig& cfg, SystemConfig& sys_cfg,
             SBULK_FATAL("trace replay: %s", err.c_str());
         // RunConfig::validate() matched the core count and geometry.
         const atrace::TraceHeader& hdr = p.replay.header();
-        // Replay hints: a recorded/generated trace knows its chunk size
-        // and work budget; explicit RunConfig values still win where the
-        // caller set them (tools pass totalChunks=0 in trace mode to
-        // defer to the trace).
+        // Replay hints: a recorded/generated trace knows its chunk size,
+        // seed and work budget. A nonzero header chunkInstrs or seed wins
+        // over RunConfig's (the tools refuse --chunk-instrs and --seed
+        // that it would override); an explicit totalChunks wins over the
+        // header's (tools pass 0 in trace mode to defer to the trace).
         if (hdr.chunkInstrs != 0)
             sys_cfg.core.chunkInstrs = hdr.chunkInstrs;
         std::uint64_t total = cfg.totalChunks;
@@ -217,7 +218,7 @@ RunConfig::validate() const
 }
 
 RunResult
-runExperiment(const RunConfig& cfg, StatSet* stats)
+runExperiment(const RunConfig& cfg, StatSet* stats, TracePrinter* printer)
 {
     if (const auto err = cfg.validate())
         SBULK_FATAL("%s", err->c_str());
@@ -228,6 +229,7 @@ runExperiment(const RunConfig& cfg, StatSet* stats)
     sys_cfg.proto = cfg.proto;
     sys_cfg.shards = cfg.shards;
     sys_cfg.interleavedPages = cfg.interleavedPages;
+    sys_cfg.observer = printer;
     const bool faulted = cfg.faults.enabled();
     if (faulted)
         fault::FaultTransport::armRecovery(cfg.faults, sys_cfg.proto);
@@ -243,6 +245,8 @@ runExperiment(const RunConfig& cfg, StatSet* stats)
     auto streams = buildStreams(cfg, sys_cfg, plumbing, r, run_seed);
 
     System sys(sys_cfg, std::move(streams));
+    if (printer)
+        printer->attach(sys.network());
 
     std::unique_ptr<fault::FaultTransport> transport;
     if (faulted)

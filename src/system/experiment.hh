@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "fault/fault_plan.hh"
+#include "proto/trace_printer.hh"
 #include "system/system.hh"
 #include "trace/scenarios.hh"
 #include "workload/apps.hh"
@@ -66,9 +67,10 @@ struct RunConfig
     /// @{
     /**
      * Replay this access trace instead of a synthetic app (app must be
-     * null). The trace's core count must equal procs; its chunkInstrs /
-     * totalChunks / seed hints override the fields above when nonzero
-     * (totalChunks additionally falls back to 1280 when both are unset).
+     * null). The trace's core count must equal procs; its chunkInstrs
+     * and seed hints override the fields above when nonzero, and its
+     * totalChunks hint applies when totalChunks is 0 (1280 when both
+     * are unset).
      */
     std::string tracePath{};
     /**
@@ -172,10 +174,12 @@ struct RunResult
 
 /**
  * Build, run, and harvest one experiment; with @p stats, also record every
- * component's statistics into it (`sbulk-sim --stats`). A config
- * validate() rejects ends the process via SBULK_FATAL.
+ * component's statistics into it (`sbulk-sim --stats`); with @p printer,
+ * print its debug-trace categories as the run goes (`--debug-trace`). A
+ * config validate() rejects ends the process via SBULK_FATAL.
  */
-RunResult runExperiment(const RunConfig& cfg, StatSet* stats = nullptr);
+RunResult runExperiment(const RunConfig& cfg, StatSet* stats = nullptr,
+                        TracePrinter* printer = nullptr);
 
 /** Read the header of the trace at @p path; the reason on failure. */
 std::optional<std::string> readTraceHeader(const std::string& path,

@@ -35,8 +35,6 @@ System::System(SystemConfig cfg,
     SBULK_ASSERT(_cfg.shards >= 1 && _cfg.shards <= _cfg.numProcs,
                  "--shards must be in 1..numProcs (%u over %u tiles)",
                  _cfg.shards, _cfg.numProcs);
-    SBULK_ASSERT(!(_cfg.shards > 1 && _cfg.validate),
-                 "the consistency oracle is serial-only; use --shards 1");
 
     if (_cfg.shards > 1) {
         if (_cfg.shardMap.empty()) {
@@ -81,9 +79,6 @@ System::System(SystemConfig cfg,
                               _shardChan.get());
     }
 
-    if (_cfg.validate)
-        _checker = std::make_unique<ConsistencyChecker>();
-
     for (NodeId n = 0; n < _cfg.numProcs; ++n) {
         // Construction-time schedules (none today, but components are
         // free to arm timers in their constructors) originate at tile n.
@@ -101,7 +96,6 @@ System::System(SystemConfig cfg,
         _cores.push_back(
             std::make_unique<Core>(n, eqOf(n), *_caches[n], core_cfg));
         _cores[n]->setStream(_streams[n].get());
-        _cores[n]->setChecker(_checker.get());
         _cores[n]->setObserver(_cfg.observer);
     }
 

@@ -18,7 +18,6 @@
 #include "net/network.hh"
 #include "proto/commit_protocol.hh"
 #include "proto/scalablebulk/proc_ctrl.hh"
-#include "system/consistency.hh"
 #include "sim/event_queue.hh"
 #include "workload/stream.hh"
 
@@ -48,22 +47,24 @@ struct SystemConfig
     /** Use the contention-free network instead of the torus (tests). */
     bool directNetwork = false;
     Tick directLatency = 10;
-    /** Attach the chunk-atomicity oracle (see consistency.hh). */
-    bool validate = false;
-    /** Protocol-event observer wired into every controller (src/check/
-     *  oracles; null for plain simulation runs). Not owned. */
+    /**
+     * Protocol-event observer wired into every core and controller: the
+     * invariant oracles (check::OracleSuite), the fault layer's liveness
+     * monitor, the --debug-trace printer, or an ObserverChain of them.
+     * Null for plain simulation runs. Not owned.
+     */
     ProtocolObserver* observer = nullptr;
     /**
      * Parallel-in-run event kernel: partition the tiles into this many
      * shards, each driven by its own worker thread under conservative
      * lookahead windows (src/sim/shard.hh; DESIGN.md). 1 — the default —
      * keeps the byte-identical single-threaded path. Requires
-     * shards <= numProcs; incompatible with validate, SchedulePolicy, and
-     * delivery jitter (all serial-only tooling). End-of-run statistics
-     * are identical for every shard count >= 2. Observers attached to a
+     * shards <= numProcs; incompatible with SchedulePolicy and delivery
+     * jitter (serial-only checker tooling). End-of-run statistics are
+     * identical for every shard count >= 2. Observers attached to a
      * sharded run fire concurrently from shard threads and must be
-     * thread-safe (fault::LivenessMonitor is; the checker oracles are
-     * not — the checker is serial by design).
+     * thread-safe (fault::LivenessMonitor and TracePrinter are; the
+     * OracleSuite is not, so oracle-checked runs stay serial).
      */
     std::uint32_t shards = 1;
     /**
@@ -124,8 +125,6 @@ class System
      * commit in flight. The quiescence oracle's end-of-run check.
      */
     bool protocolQuiescent() const;
-    /** The atomicity oracle (null unless cfg.validate). */
-    const ConsistencyChecker* consistency() const { return _checker.get(); }
     /** The torus instance, or null when directNetwork was selected. */
     const TorusNetwork*
     torus() const
@@ -222,7 +221,6 @@ class System
     std::vector<std::unique_ptr<ThreadStream>> _streams;
     std::vector<std::unique_ptr<ProcProtocol>> _procProtos;
     std::vector<std::unique_ptr<DirProtocol>> _dirProtos;
-    std::unique_ptr<ConsistencyChecker> _checker;
     /** Centralized agent (TCC TID vendor / BulkSC arbiter), when used. */
     std::unique_ptr<CentralAgent> _agent;
 };

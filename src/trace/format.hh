@@ -7,12 +7,12 @@
  *
  * Everything is little-endian and serialized byte-by-byte (no struct
  * punning), so traces are portable across hosts and compilers. The
- * namespace is `atrace` ("access trace"); `sbulk::trace` already names the
- * debug-trace categories of sim/trace.hh.
+ * namespace is `atrace` ("access trace"), apart from the protocol-event
+ * trace that --debug-trace prints (proto/trace_printer.hh).
  */
 
-#ifndef SBULK_TRACE_FORMAT_HH
-#define SBULK_TRACE_FORMAT_HH
+#ifndef SBULK_ATRACE_FORMAT_HH
+#define SBULK_ATRACE_FORMAT_HH
 
 #include <cstdint>
 #include <string>
@@ -113,4 +113,4 @@ bool headerFromText(const std::string& line, TraceHeader& hdr,
 
 } // namespace sbulk::atrace
 
-#endif // SBULK_TRACE_FORMAT_HH
+#endif // SBULK_ATRACE_FORMAT_HH

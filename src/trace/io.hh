@@ -6,8 +6,8 @@
  * and binary<->text conversion.
  */
 
-#ifndef SBULK_TRACE_IO_HH
-#define SBULK_TRACE_IO_HH
+#ifndef SBULK_ATRACE_IO_HH
+#define SBULK_ATRACE_IO_HH
 
 #include <iosfwd>
 #include <string>
@@ -116,4 +116,4 @@ bool convertTrace(std::istream& in, std::ostream& out, bool to_text,
 
 } // namespace sbulk::atrace
 
-#endif // SBULK_TRACE_IO_HH
+#endif // SBULK_ATRACE_IO_HH

@@ -7,8 +7,8 @@
  * core, hence identical sweep statistics.
  */
 
-#ifndef SBULK_TRACE_RECORD_HH
-#define SBULK_TRACE_RECORD_HH
+#ifndef SBULK_ATRACE_RECORD_HH
+#define SBULK_ATRACE_RECORD_HH
 
 #include <memory>
 #include <string>
@@ -52,4 +52,4 @@ class TraceRecorder
 
 } // namespace sbulk::atrace
 
-#endif // SBULK_TRACE_RECORD_HH
+#endif // SBULK_ATRACE_RECORD_HH

@@ -14,8 +14,8 @@
  * golden traces in CI stay stable and sweeps are reproducible.
  */
 
-#ifndef SBULK_TRACE_SCENARIOS_HH
-#define SBULK_TRACE_SCENARIOS_HH
+#ifndef SBULK_ATRACE_SCENARIOS_HH
+#define SBULK_ATRACE_SCENARIOS_HH
 
 #include <iosfwd>
 #include <string>
@@ -73,4 +73,4 @@ bool generateScenario(const ScenarioSpec& spec, const ScenarioParams& p,
 
 } // namespace sbulk::atrace
 
-#endif // SBULK_TRACE_SCENARIOS_HH
+#endif // SBULK_ATRACE_SCENARIOS_HH

@@ -13,8 +13,8 @@
  * byte-offset / line-precise message.
  */
 
-#ifndef SBULK_TRACE_SOURCE_HH
-#define SBULK_TRACE_SOURCE_HH
+#ifndef SBULK_ATRACE_SOURCE_HH
+#define SBULK_ATRACE_SOURCE_HH
 
 #include <deque>
 #include <memory>
@@ -81,4 +81,4 @@ class TraceReplay
 
 } // namespace sbulk::atrace
 
-#endif // SBULK_TRACE_SOURCE_HH
+#endif // SBULK_ATRACE_SOURCE_HH

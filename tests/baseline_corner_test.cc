@@ -16,6 +16,7 @@
 #include <memory>
 #include <vector>
 
+#include "oracle_harness.hh"
 #include "system/system.hh"
 
 namespace sbulk
@@ -89,7 +90,14 @@ stormConfig(ProtocolKind proto, std::uint32_t cores)
     cfg.protocol = proto;
     cfg.core.chunkInstrs = 120; // tiny chunks: maximal commit pressure
     cfg.core.chunksToRun = 40;
-    cfg.validate = true;
+    return cfg;
+}
+
+/** @p cfg with @p suite attached as its observer. */
+SystemConfig
+watchedBy(SystemConfig cfg, check::OracleSuite& suite)
+{
+    cfg.observer = &suite;
     return cfg;
 }
 
@@ -99,24 +107,30 @@ TEST(BaselineCorner, TccSurvivesConflictStorm)
     // post-probe aborts happen many times; every hole must be plugged or
     // the TID order wedges (run() panics on deadlock).
     SystemConfig cfg = stormConfig(ProtocolKind::TCC, 8);
-    System sys(cfg, conflictStorm(8));
+    check::OracleSuite suite;
+    System sys(watchedBy(cfg, suite), conflictStorm(8));
+    suite.setClock(&sys.eventQueue());
     sys.run(2'000'000'000ull);
     EXPECT_EQ(sys.metrics().commits.value(), 8u * 40u);
     EXPECT_GT(sys.metrics().squashesTrueConflict.value(), 0u);
     EXPECT_EQ(sys.metrics().blocked.distinct(), 0);
-    EXPECT_TRUE(sys.consistency()->violations().empty());
+    finishOracles(sys, suite);
+    EXPECT_TRUE(suite.violations().empty()) << describe(suite);
 }
 
 TEST(BaselineCorner, SeqSurvivesConflictStorm)
 {
     SystemConfig cfg = stormConfig(ProtocolKind::SEQ, 8);
-    System sys(cfg, conflictStorm(8));
+    check::OracleSuite suite;
+    System sys(watchedBy(cfg, suite), conflictStorm(8));
+    suite.setClock(&sys.eventQueue());
     sys.run(2'000'000'000ull);
     EXPECT_EQ(sys.metrics().commits.value(), 8u * 40u);
     EXPECT_GT(sys.metrics().squashesTrueConflict.value(), 0u);
     // Every occupation was released or cancelled.
     EXPECT_EQ(sys.metrics().blocked.distinct(), 0);
-    EXPECT_TRUE(sys.consistency()->violations().empty());
+    finishOracles(sys, suite);
+    EXPECT_TRUE(suite.violations().empty()) << describe(suite);
 }
 
 TEST(BaselineCorner, BulkScSurvivesConflictStorm)
@@ -124,22 +138,28 @@ TEST(BaselineCorner, BulkScSurvivesConflictStorm)
     // Denials, retries, and conservative nacks all cycle; the arbiter's
     // committing set must drain every time.
     SystemConfig cfg = stormConfig(ProtocolKind::BulkSC, 8);
-    System sys(cfg, conflictStorm(8));
+    check::OracleSuite suite;
+    System sys(watchedBy(cfg, suite), conflictStorm(8));
+    suite.setClock(&sys.eventQueue());
     sys.run(2'000'000'000ull);
     EXPECT_EQ(sys.metrics().commits.value(), 8u * 40u);
     EXPECT_GT(sys.metrics().squashesTrueConflict.value() +
                   sys.metrics().commitFailures.value(),
               0u);
-    EXPECT_TRUE(sys.consistency()->violations().empty());
+    finishOracles(sys, suite);
+    EXPECT_TRUE(suite.violations().empty()) << describe(suite);
 }
 
 TEST(BaselineCorner, ScalableBulkSurvivesConflictStorm)
 {
     SystemConfig cfg = stormConfig(ProtocolKind::ScalableBulk, 8);
-    System sys(cfg, conflictStorm(8));
+    check::OracleSuite suite;
+    System sys(watchedBy(cfg, suite), conflictStorm(8));
+    suite.setClock(&sys.eventQueue());
     sys.run(2'000'000'000ull);
     EXPECT_EQ(sys.metrics().commits.value(), 8u * 40u);
-    EXPECT_TRUE(sys.consistency()->violations().empty());
+    finishOracles(sys, suite);
+    EXPECT_TRUE(suite.violations().empty()) << describe(suite);
 }
 
 TEST(BaselineCorner, TccHoldsSerializeSameDirStorm)
@@ -147,21 +167,29 @@ TEST(BaselineCorner, TccHoldsSerializeSameDirStorm)
     // No conflicts at all, yet TCC's probe-holds must queue heavily on
     // the shared directories — and still finish.
     SystemConfig cfg = stormConfig(ProtocolKind::TCC, 8);
-    System sys(cfg, sameDirStorm(8));
+    check::OracleSuite suite;
+    System sys(watchedBy(cfg, suite), sameDirStorm(8));
+    suite.setClock(&sys.eventQueue());
     sys.run(2'000'000'000ull);
     EXPECT_EQ(sys.metrics().commits.value(), 8u * 40u);
     EXPECT_EQ(sys.metrics().squashesTrueConflict.value(), 0u);
     EXPECT_GT(sys.metrics().chunkQueueLength.mean(), 0.0);
+    finishOracles(sys, suite);
+    EXPECT_TRUE(suite.violations().empty()) << describe(suite);
 }
 
 TEST(BaselineCorner, SeqQueuesDrainOnSameDirStorm)
 {
     SystemConfig cfg = stormConfig(ProtocolKind::SEQ, 8);
-    System sys(cfg, sameDirStorm(8));
+    check::OracleSuite suite;
+    System sys(watchedBy(cfg, suite), sameDirStorm(8));
+    suite.setClock(&sys.eventQueue());
     sys.run(2'000'000'000ull);
     EXPECT_EQ(sys.metrics().commits.value(), 8u * 40u);
     EXPECT_EQ(sys.metrics().squashesTrueConflict.value(), 0u);
     EXPECT_EQ(sys.metrics().blocked.distinct(), 0);
+    finishOracles(sys, suite);
+    EXPECT_TRUE(suite.violations().empty()) << describe(suite);
 }
 
 TEST(BaselineCorner, OciOffConflictStormStillCompletes)
@@ -170,10 +198,13 @@ TEST(BaselineCorner, OciOffConflictStormStillCompletes)
     // mutually-invalidating committers with OCI off must not wedge.
     SystemConfig cfg = stormConfig(ProtocolKind::ScalableBulk, 8);
     cfg.proto.oci = false;
-    System sys(cfg, conflictStorm(8));
+    check::OracleSuite suite;
+    System sys(watchedBy(cfg, suite), conflictStorm(8));
+    suite.setClock(&sys.eventQueue());
     sys.run(2'000'000'000ull);
     EXPECT_EQ(sys.metrics().commits.value(), 8u * 40u);
-    EXPECT_TRUE(sys.consistency()->violations().empty());
+    finishOracles(sys, suite);
+    EXPECT_TRUE(suite.violations().empty()) << describe(suite);
 }
 
 } // namespace

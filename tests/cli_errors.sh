@@ -51,6 +51,15 @@ head -c $(($(wc -c <"$trace") - 30)) "$trace" >"$tmp/cut.sbt"
 expect_usage_error sbulk-sim --trace "$tmp/cut.sbt"
 expect_usage_error sbulk-sweep --trace "$tmp/cut.sbt" --jobs 4
 
+# Flags the trace header would silently override are refused.
+expect_usage_error sbulk-sim --trace "$trace" --chunk-instrs 500
+expect_usage_error sbulk-sim --trace "$trace" --seed 7
+expect_usage_error sbulk-sim --scenario kv-zipf --procs 4 --chunk-instrs 500
+expect_usage_error sbulk-sweep --trace "$trace" --chunk-instrs 500
+expect_usage_error sbulk-sweep --trace "$trace" --seed 7
+expect_usage_error sbulk-sweep --scenario kv-zipf --procs 4 \
+    --chunk-instrs 500
+
 if ! "$TOOLS/sbulk-sim" --debug-trace commit --procs 4 --chunks 16 \
     >/dev/null 2>&1; then
     echo "FAIL: sbulk-sim --debug-trace commit --procs 4 --chunks 16" >&2

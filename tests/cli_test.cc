@@ -86,6 +86,7 @@ TEST(CliParse, EveryBadSimLineReturnsAnError)
         {"--shards", "2", "--shard-map", "file:/nonexistent"},
         {"--scenario", "kv-oltp", "--tenants", "0"},
         {"--chunk-instrs", "0", "--procs", "4", "--chunks", "64"},
+        {"--scenario", "kv-zipf", "--chunk-instrs", "500"},
         {"--trace", "commit,group"},
         {"--app", "NoSuchApp"},
         {"--protocol", "mesi"},
@@ -112,6 +113,8 @@ TEST(CliParse, EveryBadSweepLineReturnsAnError)
     EXPECT_TRUE(sweepLine({"--protocols", "tcc,mesi"}));
     EXPECT_TRUE(sweepLine({"--faults", "drop=2"}));
     EXPECT_TRUE(sweepLine({"--apps", "LU", "--scenario", "kv-zipf"}));
+    EXPECT_TRUE(
+        sweepLine({"--scenario", "kv-zipf", "--chunk-instrs", "500"}));
     // Parses (1..65536 bits), then fails the run check in resolve(): three
     // bits do not split into four banks.
     EXPECT_TRUE(sweepLine({"--sig-bits", "3"}));
@@ -208,6 +211,7 @@ TEST(CliParse, GoodSweepLineBuildsTheMatrixInOrder)
     ASSERT_EQ(sweepLine({}, &runs), std::nullopt);
     EXPECT_EQ(runs.size(), 18u * 4u * 2u);
     EXPECT_EQ(runs[0].totalChunks, 1280u);
+    EXPECT_EQ(runs[0].chunkInstrs, 2000u);
 }
 
 TEST(CliParse, GoodCheckLineFillsTheConfig)

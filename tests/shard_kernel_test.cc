@@ -228,16 +228,6 @@ TEST(ShardKernel, ThousandTileSystemFitsMemoryBudget)
     EXPECT_EQ(sys.shards(), 8u);
 }
 
-TEST(ShardKernelDeath, ValidateIncompatibleWithShards)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    SystemConfig cfg = shardedConfig(8, 2, ProtocolKind::ScalableBulk);
-    cfg.validate = true;
-    EXPECT_DEATH(
-        { System sys(cfg, makeStreams(cfg, conflictParams())); (void)sys; },
-        "serial");
-}
-
 TEST(ShardKernelDeath, DeliveryJitterIncompatibleWithShards)
 {
     // Shard threads would call the hook unsynchronized.

@@ -3,7 +3,7 @@
  * Randomized stress: sample the (protocol x machine size x workload
  * parameter) space with a deterministic RNG and assert the global
  * invariants on every sample — all work commits, gauges balance, the
- * atomicity oracle is clean, and accounting conserves cycles.
+ * invariant oracles are clean, and accounting conserves cycles.
  *
  * This is the closest thing to a protocol fuzzer the simulator has; the
  * parameter draws deliberately include nasty corners (tiny chunks, heavy
@@ -15,6 +15,7 @@
 #include <memory>
 #include <vector>
 
+#include "oracle_harness.hh"
 #include "sim/random.hh"
 #include "system/system.hh"
 #include "workload/synthetic.hh"
@@ -45,7 +46,8 @@ TEST_P(StressFuzz, InvariantsHoldOnRandomConfiguration)
     cfg.protocol = protos[rng.below(4)];
     cfg.core.chunkInstrs = std::uint32_t(rng.between(100, 3000));
     cfg.core.chunksToRun = rng.between(4, 20);
-    cfg.validate = true;
+    check::OracleSuite suite;
+    cfg.observer = &suite;
     cfg.directNetwork = rng.chance(0.3);
     cfg.proto.oci = rng.chance(0.8);
     cfg.proto.leaderRotationInterval =
@@ -73,7 +75,8 @@ TEST_P(StressFuzz, InvariantsHoldOnRandomConfiguration)
             p, n, cfg.numProcs, cfg.mem.l2.lineBytes, cfg.mem.pageBytes));
 
     System sys(cfg, std::move(streams));
-    sys.run(/*limit=*/3'000'000'000ull);
+    suite.setClock(&sys.eventQueue());
+    const Tick end = sys.run(/*limit=*/3'000'000'000ull);
 
     // Everything committed (no deadlock, no livelock within the limit).
     const std::uint64_t expected =
@@ -88,11 +91,12 @@ TEST_P(StressFuzz, InvariantsHoldOnRandomConfiguration)
     EXPECT_EQ(sys.metrics().blocked.distinct(), 0);
     EXPECT_EQ(sys.metrics().inflight, 0);
 
-    // The atomicity oracle stays clean.
-    ASSERT_NE(sys.consistency(), nullptr);
-    EXPECT_TRUE(sys.consistency()->violations().empty())
-        << sys.consistency()->violations().size() << " violations under "
-        << protocolName(cfg.protocol);
+    // The invariant oracles stay clean.
+    finishOracles(sys, suite);
+    EXPECT_TRUE(suite.violations().empty())
+        << suite.violations().size() << " violations under "
+        << protocolName(cfg.protocol) << "\n"
+        << describe(suite);
 
     // Cycle accounting: every core's categorized cycles fit inside the
     // simulated wall clock.
@@ -101,7 +105,7 @@ TEST_P(StressFuzz, InvariantsHoldOnRandomConfiguration)
         const std::uint64_t charged =
             s.usefulCycles.value() + s.missStallCycles.value() +
             s.commitStallCycles.value() + s.squashWasteCycles.value();
-        EXPECT_LE(charged, sys.eventQueue().now() + 1) << "core " << n;
+        EXPECT_LE(charged, end + 1) << "core " << n;
     }
 }
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests of System-level facilities: stats recording, the torus accessor
- * and its link-occupancy counters, breakdown arithmetic, and validate-mode
- * wiring.
+ * and its link-occupancy counters, breakdown arithmetic, and the observer
+ * slot the invariant oracles attach through.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <sstream>
 #include <vector>
 
+#include "oracle_harness.hh"
 #include "system/system.hh"
 #include "workload/synthetic.hh"
 
@@ -104,18 +105,33 @@ TEST(SystemStats, BreakdownTotalsAreSumOfParts)
 TEST(SystemStats, ValidateModeAttachesOracle)
 {
     SystemConfig cfg = tinyConfig();
-    cfg.validate = true;
+    check::OracleSuite suite;
+    cfg.observer = &suite;
     System sys = makeSystem(cfg);
+    suite.setClock(&sys.eventQueue());
     sys.run(100'000'000);
-    ASSERT_NE(sys.consistency(), nullptr);
-    EXPECT_EQ(sys.consistency()->commitsChecked(), 40u);
-    EXPECT_TRUE(sys.consistency()->violations().empty());
+    finishOracles(sys, suite);
+    EXPECT_EQ(suite.commitsChecked(), 40u);
+    EXPECT_TRUE(suite.violations().empty()) << describe(suite);
 }
 
 TEST(SystemStats, ValidateOffMeansNoOracle)
 {
-    System sys = makeSystem(tinyConfig());
-    EXPECT_EQ(sys.consistency(), nullptr);
+    // Plain runs carry no observer, and attaching one changes nothing the
+    // run computes: observers schedule no events.
+    EXPECT_EQ(tinyConfig().observer, nullptr);
+    System plain = makeSystem(tinyConfig());
+    const Tick plain_end = plain.run(100'000'000);
+
+    SystemConfig cfg = tinyConfig();
+    check::OracleSuite suite;
+    cfg.observer = &suite;
+    System watched = makeSystem(cfg);
+    EXPECT_EQ(watched.run(100'000'000), plain_end);
+    EXPECT_EQ(watched.metrics().commits.value(),
+              plain.metrics().commits.value());
+    EXPECT_EQ(watched.traffic().totalMessages(),
+              plain.traffic().totalMessages());
 }
 
 } // namespace

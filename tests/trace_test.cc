@@ -1,92 +1,127 @@
 /**
  * @file
- * Unit tests for the category-gated trace facility.
+ * Unit tests for the --debug-trace printer (proto/trace_printer.hh):
+ * category parsing and filtering, the stamped line format, and a real run
+ * printing its commits.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "sim/trace.hh"
+#include "proto/trace_printer.hh"
+#include "system/experiment.hh"
 
 namespace sbulk
 {
 namespace
 {
 
-class TraceTest : public ::testing::Test
+using Cat = TracePrinter::Cat;
+
+/** A commit id on processor @p proc. */
+CommitId
+commitOf(NodeId proc, std::uint64_t seq)
 {
-  protected:
-    void
-    SetUp() override
-    {
-        trace::disableAll();
-        trace::setSink(&os);
-    }
+    return CommitId{ChunkTag{proc, seq}, 0};
+}
 
-    void
-    TearDown() override
-    {
-        trace::disableAll();
-        trace::setSink(nullptr);
-    }
-
+TEST(TraceTest, DisabledByDefault)
+{
     std::ostringstream os;
-};
-
-TEST_F(TraceTest, DisabledByDefault)
-{
-    EXPECT_FALSE(trace::enabled(trace::Cat::Commit));
-    SBULK_TRACE(trace::Cat::Commit, Tick(5), "nope %d", 1);
+    TracePrinter printer(0, os);
+    EXPECT_FALSE(printer.enabled(Cat::Commit));
+    printer.onCommitSuccess(1, commitOf(1, 5));
     EXPECT_TRUE(os.str().empty());
 }
 
-TEST_F(TraceTest, EnabledCategoryEmitsStampedLine)
+TEST(TraceTest, EnabledCategoryEmitsStampedLine)
 {
-    trace::enable(trace::Cat::Group);
-    SBULK_TRACE(trace::Cat::Group, Tick(1234), "formed %d members", 3);
-    const std::string out = os.str();
-    EXPECT_NE(out.find("1234"), std::string::npos);
-    EXPECT_NE(out.find("group"), std::string::npos);
-    EXPECT_NE(out.find("formed 3 members"), std::string::npos);
+    std::ostringstream os;
+    TracePrinter printer(TracePrinter::bit(Cat::Group), os);
+    printer.onGroupFormed(4, commitOf(2, 7), NodeSet::of(1, 4, 9));
+    // One "tick: category: text" line; unattached, the tick reads 0.
+    EXPECT_EQ(os.str(), "         0: group : dir 4 formed group for (2,7): "
+                        "3 members\n");
 }
 
-TEST_F(TraceTest, OtherCategoriesStaySilent)
+TEST(TraceTest, OtherCategoriesStaySilent)
 {
-    trace::enable(trace::Cat::Group);
-    SBULK_TRACE(trace::Cat::Inv, Tick(1), "hidden");
+    std::ostringstream os;
+    TracePrinter printer(TracePrinter::bit(Cat::Group), os);
+    printer.onLineCommitted(0, 0x40, commitOf(1, 1));
+    printer.onCommitSuccess(1, commitOf(1, 1));
+    printer.onChunkRead(1, ChunkTag{1, 1}, 0x40);
     EXPECT_TRUE(os.str().empty());
 }
 
-TEST_F(TraceTest, EnableListParsesNames)
+TEST(TraceTest, EnableListParsesNames)
 {
-    EXPECT_TRUE(trace::enableList("commit,squash"));
-    EXPECT_TRUE(trace::enabled(trace::Cat::Commit));
-    EXPECT_TRUE(trace::enabled(trace::Cat::Squash));
-    EXPECT_FALSE(trace::enabled(trace::Cat::Read));
+    TracePrinter::Mask mask = 0;
+    EXPECT_TRUE(TracePrinter::parseList("commit,squash", mask));
+    const TracePrinter printer(mask);
+    EXPECT_TRUE(printer.enabled(Cat::Commit));
+    EXPECT_TRUE(printer.enabled(Cat::Squash));
+    EXPECT_FALSE(printer.enabled(Cat::Read));
 }
 
-TEST_F(TraceTest, EnableListAll)
+TEST(TraceTest, EnableListAll)
 {
-    EXPECT_TRUE(trace::enableList("all"));
-    for (std::size_t c = 0; c < std::size_t(trace::Cat::Count); ++c)
-        EXPECT_TRUE(trace::enabled(trace::Cat(c)));
+    TracePrinter::Mask mask = 0;
+    EXPECT_TRUE(TracePrinter::parseList("all", mask));
+    const TracePrinter printer(mask);
+    for (std::size_t c = 0; c < std::size_t(Cat::Count); ++c)
+        EXPECT_TRUE(printer.enabled(Cat(c)));
 }
 
-TEST_F(TraceTest, EnableListRejectsUnknown)
+TEST(TraceTest, EnableListRejectsUnknown)
 {
-    EXPECT_FALSE(trace::enableList("commit,bogus"));
+    TracePrinter::Mask mask = 0;
+    EXPECT_FALSE(TracePrinter::parseList("commit,bogus", mask));
     // The valid prefix still took effect.
-    EXPECT_TRUE(trace::enabled(trace::Cat::Commit));
+    EXPECT_EQ(mask, TracePrinter::bit(Cat::Commit));
 }
 
-TEST_F(TraceTest, NamesRoundTrip)
+TEST(TraceTest, NamesRoundTrip)
 {
-    for (std::size_t c = 0; c < std::size_t(trace::Cat::Count); ++c) {
-        const trace::Cat cat = trace::Cat(c);
-        EXPECT_EQ(trace::parseCat(trace::catName(cat)), cat);
+    for (std::size_t c = 0; c < std::size_t(Cat::Count); ++c) {
+        const Cat cat = Cat(c);
+        EXPECT_EQ(TracePrinter::parseCat(TracePrinter::catName(cat)), cat);
     }
-    EXPECT_EQ(trace::parseCat("nonsense"), trace::Cat::Count);
+    EXPECT_EQ(TracePrinter::parseCat("nonsense"), Cat::Count);
+}
+
+TEST(TraceTest, TccRunPrintsItsCommits)
+{
+    // Before the printer, only ScalableBulk had trace points.
+    RunConfig cfg;
+    cfg.app = findApp("LU");
+    cfg.procs = 4;
+    cfg.protocol = ProtocolKind::TCC;
+    cfg.totalChunks = 16;
+    std::ostringstream os;
+    TracePrinter printer(TracePrinter::bit(Cat::Commit), os);
+    const RunResult traced = runExperiment(cfg, nullptr, &printer);
+
+    std::istringstream lines(os.str());
+    std::size_t successes = 0;
+    std::size_t count = 0;
+    std::string last;
+    for (std::string line; std::getline(lines, line); ++count) {
+        EXPECT_NE(line.find(": commit: proc "), std::string::npos) << line;
+        successes += line.find("SUCCESS") != std::string::npos;
+        last = line;
+    }
+    EXPECT_EQ(successes, traced.commits);
+    EXPECT_GT(count, successes) << "requests are printed too";
+    // Lines are stamped with the run's clock.
+    ASSERT_FALSE(last.empty());
+    EXPECT_GT(std::stoull(last), 0u) << last;
+
+    // Watching changes nothing the run computes.
+    const RunResult plain = runExperiment(cfg);
+    EXPECT_EQ(plain.makespan, traced.makespan);
+    EXPECT_EQ(plain.traffic.totalMessages(), traced.traffic.totalMessages());
 }
 
 } // namespace

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <iterator>
 
-#include "sim/trace.hh"
 #include "trace/scenarios.hh"
 
 namespace sbulk::cli
@@ -39,6 +38,39 @@ rangeText(std::uint64_t lo, std::uint64_t hi)
     if (hi == std::numeric_limits<std::uint64_t>::max())
         return ">= " + std::to_string(lo);
     return "in " + std::to_string(lo) + ".." + std::to_string(hi);
+}
+
+/**
+ * Refuse the flags a trace header would silently override, and fill the
+ * chunk size left unset. runExperiment takes the chunk size from the
+ * header of every scenario and of a trace that names one, and the workload
+ * seed from a trace header that names one. @p run.chunkInstrs is 0 unless
+ * --chunk-instrs was given; @p from_scenario says the runs replay
+ * scenarios.
+ */
+Error
+applyHeaderHints(RunConfig& run, bool from_scenario)
+{
+    const bool chunk_instrs_set = run.chunkInstrs != 0;
+    if (!chunk_instrs_set)
+        run.chunkInstrs = RunConfig{}.chunkInstrs;
+    if (chunk_instrs_set && from_scenario)
+        return "--chunk-instrs cannot combine with --scenario (the "
+               "scenario sets the chunk size)";
+    if (run.tracePath.empty() || (!chunk_instrs_set && !run.seedOverride))
+        return std::nullopt;
+    atrace::TraceHeader hdr;
+    if (Error err = readTraceHeader(run.tracePath, hdr))
+        return err;
+    if (chunk_instrs_set && hdr.chunkInstrs != 0)
+        return detail::formatMsg("--chunk-instrs cannot combine with "
+                                 "--trace: its header sets chunk size %u",
+                                 hdr.chunkInstrs);
+    if (run.seedOverride != 0 && hdr.seed != 0)
+        return detail::formatMsg("--seed cannot combine with --trace: its "
+                                 "header sets seed %llu",
+                                 (unsigned long long)hdr.seed);
+    return std::nullopt;
 }
 
 /** One row per tenant of @p r, "all" first, each rendered with @p fmt over
@@ -222,10 +254,10 @@ faultPlan(fault::FaultPlan& field)
 }
 
 Binder
-traceCategories()
+traceCategories(TracePrinter::Mask& field)
 {
-    return [](const std::string& v) -> Error {
-        if (!trace::enableList(v))
+    return [&field](const std::string& v) -> Error {
+        if (!TracePrinter::parseList(v, field))
             return "unknown category in '" + v +
                    "' (want commit, group, inv, squash, read or all)";
         return std::nullopt;
@@ -469,6 +501,8 @@ SimOptions::resolve()
     }
     if (run.seedOverride != 0)
         run.scenarioParams.seed = run.seedOverride;
+    if (Error err = applyHeaderHints(run, !run.scenario.empty()))
+        return err;
     return run.validate();
 }
 
@@ -515,7 +549,8 @@ simFlags(SimOptions& o)
         {"--retry-delay", "N", "commit retry backoff base, cycles",
          number(r.proto.commitRetryDelay, 0)},
         {"--csv", nullptr, "one CSV row instead of the report", set(o.csv)},
-        {"--debug-trace", "CATS", kTraceCategoriesHelp, traceCategories()},
+        {"--debug-trace", "CATS", kTraceCategoriesHelp,
+         traceCategories(o.debugTrace)},
         {"--histogram", nullptr, "also print the commit-latency histogram",
          set(o.histogram)},
         {"--stats", nullptr, "dump every component's statistics",
@@ -566,6 +601,8 @@ SweepOptions::resolve(std::vector<RunConfig>& out) const
             return err;
         counts = {hdr.numCores};
     }
+    if (Error err = applyHeaderHints(shared, !scenarios.empty()))
+        return err;
 
     // The workload axis; protocols and processor counts vary inside it.
     std::vector<RunConfig> workloads;
@@ -692,7 +729,8 @@ checkFlags(CheckOptions& o)
         {"--keep-going", nullptr, "don't stop a protocol at its first fail",
          set(o.keepGoing)},
         {"--jobs", "N", kJobsHelp, number(o.jobs, 0, 4096)},
-        {"--debug-trace", "CATS", kTraceCategoriesHelp, traceCategories()},
+        {"--debug-trace", "CATS", kTraceCategoriesHelp,
+         traceCategories(b.debugTrace)},
         {"--replay-seed", "N", "deterministically re-run one seed",
          number(o.replaySeed, 1)},
         {"--replay-prefix", "N", "... honoring only the first N schedule\n"

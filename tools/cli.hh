@@ -88,8 +88,9 @@ Binder protocol(ProtocolKind& field);
 Binder protocols(std::vector<ProtocolKind>& field);
 /** A FaultPlan in the ROBUSTNESS.md grammar. */
 Binder faultPlan(fault::FaultPlan& field);
-/** Debug-trace categories (sim/trace.hh), enabled as they parse. */
-Binder traceCategories();
+/** Comma list of debug-trace categories (TracePrinter), added to
+ *  @p field. */
+Binder traceCategories(TracePrinter::Mask& field);
 /// @}
 
 /**
@@ -140,7 +141,8 @@ struct Pinned
     Pinned& operator=(const Pinned&) = delete;
 };
 
-/** sbulk-sim. `run.procs` and `run.totalChunks` stay 0 until resolve(). */
+/** sbulk-sim. `run.procs`, `run.totalChunks` and `run.chunkInstrs` stay 0
+ *  until resolve() (0 = the flag was not given). */
 struct SimOptions : Pinned
 {
     bool help = false;
@@ -151,8 +153,10 @@ struct SimOptions : Pinned
     bool csv = false;
     bool histogram = false;
     bool fullStats = false;
+    /** --debug-trace categories (0 = no printer attached). */
+    TracePrinter::Mask debugTrace = 0;
     AppSpec customApp{"custom", "user", SyntheticParams{}};
-    RunConfig run{.procs = 0, .totalChunks = 0};
+    RunConfig run{.procs = 0, .totalChunks = 0, .chunkInstrs = 0};
 
     /** Apply defaults (from the trace header, if any), look up the app
      *  and check the run. */
@@ -175,8 +179,8 @@ struct SweepOptions : Pinned
     /** Append the per-class message counts and the dirs/latency
      *  histograms the figure tables need (scripts/figures.py). */
     bool figureData = false;
-    /** Fields every run shares; totalChunks 0 = unset. */
-    RunConfig base{.totalChunks = 0};
+    /** Fields every run shares; totalChunks and chunkInstrs 0 = unset. */
+    RunConfig base{.totalChunks = 0, .chunkInstrs = 0};
 
     /** The matrix in output order, every run checked by
      *  RunConfig::validate(). */

@@ -164,8 +164,10 @@ main(int argc, char** argv)
     setShardThreadFactor(opt.run.shards);
 
     StatSet stats;
+    TracePrinter printer(opt.debugTrace);
     const RunResult r =
-        runExperiment(opt.run, opt.fullStats ? &stats : nullptr);
+        runExperiment(opt.run, opt.fullStats ? &stats : nullptr,
+                      opt.debugTrace ? &printer : nullptr);
     if (opt.fullStats)
         stats.dump(std::cout);
     else if (opt.csv)
