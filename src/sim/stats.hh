@@ -104,7 +104,9 @@ class Distribution
 
     /**
      * Smallest sample value v such that at least @p p (0..1) of the samples
-     * are <= v, at bucket resolution (upper bucket edge).
+     * are <= v, at bucket resolution: the upper edge of the bucket that
+     * reaches p, never above max(). The overflow bucket has no upper edge;
+     * a percentile that lands there reads max().
      */
     std::uint64_t
     percentile(double p) const
@@ -114,10 +116,10 @@ class Distribution
         std::uint64_t target =
             std::uint64_t(p * double(_count) + 0.5);
         std::uint64_t cum = 0;
-        for (std::size_t i = 0; i < _buckets.size(); ++i) {
+        for (std::size_t i = 0; i + 1 < _buckets.size(); ++i) {
             cum += _buckets[i];
             if (cum >= target)
-                return (i + 1) * _bucketWidth;
+                return std::min<std::uint64_t>((i + 1) * _bucketWidth, _max);
         }
         return _max;
     }

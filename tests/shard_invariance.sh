@@ -9,7 +9,7 @@
 set -uo pipefail
 
 TOOLS=${1:?usage: shard_invariance.sh TOOLS_DIR}
-want=bd175be8f5222a78d94749683d13c73c
+want=9bed8aba24acf6ce48f5c1d918af91c0
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 failures=0

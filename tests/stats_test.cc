@@ -77,6 +77,31 @@ TEST(Distribution, PercentileAtBucketResolution)
     EXPECT_GE(p100, 99u);
 }
 
+TEST(Distribution, PercentileNeverAboveMax)
+{
+    // Every sample sits low in one 25-wide bucket: its upper edge (100)
+    // is above every sample, so percentiles read the maximum instead.
+    Distribution d(25, 400);
+    for (std::uint64_t v : {76u, 77u, 79u})
+        d.sample(v);
+    EXPECT_EQ(d.percentile(0.5), 79u);
+    EXPECT_EQ(d.percentile(0.99), 79u);
+    EXPECT_LE(d.percentile(1.0), d.max());
+}
+
+TEST(Distribution, PercentileInOverflowReadsMax)
+{
+    // The overflow bucket has no upper edge: a percentile landing there
+    // is the maximum, not the overflow bucket's lower edge.
+    Distribution d(10, 4);
+    for (std::uint64_t v = 0; v < 5; ++v)
+        d.sample(v);
+    for (std::uint64_t v : {500u, 900u, 1234u, 800u, 700u})
+        d.sample(v);
+    EXPECT_EQ(d.percentile(0.9), 1234u);
+    EXPECT_EQ(d.percentile(0.5), 10u); // still a regular bucket edge
+}
+
 TEST(Distribution, ZeroSamplesAreSafe)
 {
     Distribution d;
