@@ -17,17 +17,6 @@ namespace
  *  stream, and a line is never split. */
 std::mutex gLineLock;
 
-const char*
-failName(GroupFailReason why)
-{
-    switch (why) {
-      case GroupFailReason::Collision: return "collision";
-      case GroupFailReason::Recall: return "recall";
-      case GroupFailReason::Reservation: return "reservation";
-    }
-    return "?";
-}
-
 } // namespace
 
 const char*
@@ -44,53 +33,15 @@ TracePrinter::catName(Cat cat)
     return "?";
 }
 
-TracePrinter::Cat
-TracePrinter::parseCat(const std::string& name)
+TracePrinter::Mask
+TracePrinter::maskOf(const std::string& name)
 {
+    if (name == "all")
+        return bit(Cat::Count) - 1;
     for (std::size_t c = 0; c < std::size_t(Cat::Count); ++c)
         if (name == catName(Cat(c)))
-            return Cat(c);
-    return Cat::Count;
-}
-
-bool
-TracePrinter::parseList(const std::string& list, Mask& mask)
-{
-    if (list == "all") {
-        mask |= bit(Cat::Count) - 1;
-        return true;
-    }
-    bool ok = true;
-    std::size_t pos = 0;
-    while (pos <= list.size()) {
-        const std::size_t comma = list.find(',', pos);
-        const std::string name =
-            list.substr(pos, comma == std::string::npos ? std::string::npos
-                                                        : comma - pos);
-        if (!name.empty()) {
-            const Cat cat = parseCat(name);
-            if (cat == Cat::Count)
-                ok = false;
-            else
-                mask |= bit(cat);
-        }
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    return ok;
-}
-
-void
-TracePrinter::attach(Network& net)
-{
-    _net = &net;
-}
-
-Tick
-TracePrinter::now()
-{
-    return _net ? _net->eventQueue().now() : 0;
+            return bit(Cat(c));
+    return 0;
 }
 
 void
@@ -103,9 +54,10 @@ TracePrinter::print(Cat cat, const char* fmt, ...)
     va_start(ap, fmt);
     std::vsnprintf(body, sizeof body, fmt, ap);
     va_end(ap);
+    const Tick now = _net ? _net->eventQueue().now() : 0;
     char line[600];
     const int len = std::snprintf(line, sizeof line, "%10llu: %-6s: %s\n",
-                                  (unsigned long long)now(), catName(cat),
+                                  (unsigned long long)now, catName(cat),
                                   body);
     const std::lock_guard<std::mutex> lock(gLineLock);
     _out.write(line, std::min<std::streamsize>(len, sizeof line - 1));
@@ -213,7 +165,8 @@ TracePrinter::onGroupFailed(NodeId dir, const CommitId& id,
         return;
     }
     print(Cat::Group, "dir %u fails group of (%u,%llu) (%s)", dir,
-          id.tag.proc, (unsigned long long)id.tag.seq, failName(why));
+          id.tag.proc, (unsigned long long)id.tag.seq,
+          why == GroupFailReason::Recall ? "recall" : "reservation");
 }
 
 } // namespace sbulk

@@ -41,16 +41,11 @@ class TracePrinter : public ProtocolObserver
     using Mask = std::uint32_t;
 
     static const char* catName(Cat cat);
-    /** Parse a category name ("commit", "group", ...); Count if unknown. */
-    static Cat parseCat(const std::string& name);
     /** Bit of @p cat in a Mask. */
     static constexpr Mask bit(Cat cat) { return Mask(1) << unsigned(cat); }
-    /**
-     * Add the categories of a comma-separated list ("commit,group" or
-     * "all") to @p mask. @return false if any name was unknown; the known
-     * ones are still added.
-     */
-    static bool parseList(const std::string& list, Mask& mask);
+    /** The categories a name selects: one ("commit", "group", ...), every
+     *  one ("all"), or none (an unknown name). */
+    static Mask maskOf(const std::string& name);
 
     /** Print the categories in @p cats to @p out. */
     explicit TracePrinter(Mask cats, std::ostream& out = std::cerr)
@@ -64,7 +59,7 @@ class TracePrinter : public ProtocolObserver
      * calling shard's queue, so each line carries its own tile's tick.
      * Unattached, lines read tick 0.
      */
-    void attach(Network& net);
+    void attach(Network& net) { _net = &net; }
 
     /// @name ProtocolObserver
     /// @{
@@ -86,7 +81,6 @@ class TracePrinter : public ProtocolObserver
     /// @}
 
   private:
-    Tick now();
     /** Write one line (printf-style body) if @p cat is enabled. */
     void print(Cat cat, const char* fmt, ...)
         __attribute__((format(printf, 3, 4)));

@@ -1,14 +1,15 @@
 /**
  * @file
- * Unit tests for the --debug-trace printer (proto/trace_printer.hh):
- * category parsing and filtering, the stamped line format, and a real run
- * printing its commits.
+ * Unit tests for the --debug-trace printer (proto/trace_printer.hh) and
+ * its flag: category parsing and filtering, the stamped line format, and a
+ * real run printing its commits.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
+#include "cli.hh"
 #include "proto/trace_printer.hh"
 #include "system/experiment.hh"
 
@@ -58,7 +59,7 @@ TEST(TraceTest, OtherCategoriesStaySilent)
 TEST(TraceTest, EnableListParsesNames)
 {
     TracePrinter::Mask mask = 0;
-    EXPECT_TRUE(TracePrinter::parseList("commit,squash", mask));
+    EXPECT_EQ(cli::traceCategories(mask)("commit,squash"), std::nullopt);
     const TracePrinter printer(mask);
     EXPECT_TRUE(printer.enabled(Cat::Commit));
     EXPECT_TRUE(printer.enabled(Cat::Squash));
@@ -68,7 +69,7 @@ TEST(TraceTest, EnableListParsesNames)
 TEST(TraceTest, EnableListAll)
 {
     TracePrinter::Mask mask = 0;
-    EXPECT_TRUE(TracePrinter::parseList("all", mask));
+    EXPECT_EQ(cli::traceCategories(mask)("all"), std::nullopt);
     const TracePrinter printer(mask);
     for (std::size_t c = 0; c < std::size_t(Cat::Count); ++c)
         EXPECT_TRUE(printer.enabled(Cat(c)));
@@ -77,18 +78,19 @@ TEST(TraceTest, EnableListAll)
 TEST(TraceTest, EnableListRejectsUnknown)
 {
     TracePrinter::Mask mask = 0;
-    EXPECT_FALSE(TracePrinter::parseList("commit,bogus", mask));
-    // The valid prefix still took effect.
-    EXPECT_EQ(mask, TracePrinter::bit(Cat::Commit));
+    const cli::Error err = cli::traceCategories(mask)("commit,bogus");
+    ASSERT_TRUE(err);
+    EXPECT_NE(err->find("'bogus'"), std::string::npos) << *err;
 }
 
 TEST(TraceTest, NamesRoundTrip)
 {
     for (std::size_t c = 0; c < std::size_t(Cat::Count); ++c) {
         const Cat cat = Cat(c);
-        EXPECT_EQ(TracePrinter::parseCat(TracePrinter::catName(cat)), cat);
+        EXPECT_EQ(TracePrinter::maskOf(TracePrinter::catName(cat)),
+                  TracePrinter::bit(cat));
     }
-    EXPECT_EQ(TracePrinter::parseCat("nonsense"), Cat::Count);
+    EXPECT_EQ(TracePrinter::maskOf("nonsense"), 0u);
 }
 
 TEST(TraceTest, TccRunPrintsItsCommits)

@@ -262,9 +262,13 @@ Binder
 traceCategories(TracePrinter::Mask& field)
 {
     return [&field](const std::string& v) -> Error {
-        if (!TracePrinter::parseList(v, field))
-            return "unknown category in '" + v +
-                   "' (want commit, group, inv, squash, read or all)";
+        for (const std::string& name : split(v)) {
+            const TracePrinter::Mask cats = TracePrinter::maskOf(name);
+            if (!cats)
+                return "unknown category '" + name +
+                       "' (want commit, group, inv, squash, read or all)";
+            field |= cats;
+        }
         return std::nullopt;
     };
 }
