@@ -101,7 +101,11 @@ main(int argc, char** argv)
             CheckConfig cfg = opt.base;
             cfg.protocol = proto;
             cfg.seed = opt.replaySeed;
-            const CheckResult original = runSchedule(cfg);
+            // Only the replay prints --debug-trace lines; this run just
+            // regenerates the schedule.
+            CheckConfig quiet = cfg;
+            quiet.debugTrace = 0;
+            const CheckResult original = runSchedule(quiet);
             const std::size_t prefix =
                 std::min(opt.replayPrefix, original.trace.decisions.size());
             const CheckResult r =
