@@ -3,9 +3,10 @@
  * The --debug-trace printer: a ProtocolObserver that renders protocol
  * events as one stamped text line each, in the spirit of gem5's DPRINTF.
  *
- * Categories are chosen when the printer is built; an unattached printer
- * costs nothing, because plain runs keep a null observer. Every protocol
- * reports through the same observer hooks, so the output covers all four.
+ * Categories are chosen when the printer is built. Runs without
+ * --debug-trace attach no printer and keep a null observer, so they pay
+ * nothing. Every protocol reports through the same observer hooks, so the
+ * output covers all four.
  * Each line is "tick: category: text", written in one call under a lock,
  * so lines from shard threads (or concurrent checker runs) never split.
  */
