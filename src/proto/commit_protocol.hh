@@ -475,9 +475,8 @@ enum class SquashReason : std::uint8_t
  * The invariant oracles (src/check/), the fault layer's liveness monitor
  * and the --debug-trace printer (proto/trace_printer.hh) all derive what
  * they report from these callbacks; ObserverChain attaches several to the
- * one SystemConfig::observer slot. Hooks fire
- * synchronously from the core/protocol code; observers must not mutate
- * simulator state. Every hook has an empty default so observers implement
+ * one SystemConfig::observer slot. Hooks fire synchronously from the
+ * core/protocol code; observers must not mutate simulator state. Every hook has an empty default so observers implement
  * only what they need; a null observer costs one pointer test per event.
  *
  * References passed to hooks (chunks, signatures, line lists) are only
